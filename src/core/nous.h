@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/pipeline.h"
-#include "core/shard_set.h"
 #include "core/snapshot.h"
 #include "corpus/document_stream.h"
 #include "durability/manager.h"
@@ -25,13 +24,15 @@ namespace nous {
 class CommitListener {
  public:
   virtual ~CommitListener() = default;
-  /// One batch was WAL-logged and applied. `payload` is the exact WAL
+  /// One batch was WAL-logged and applied; under FsyncPolicy::kAlways
+  /// its fsync may still be pending. `payload` is the exact WAL
   /// payload (EncodeArticleBatch bytes); `kg_version` the live KG
   /// version after the apply.
   virtual void OnCommit(uint64_t seq, const std::string& payload,
                         uint64_t kg_version) = 0;
-  /// A checkpoint covering everything up to `seq` was persisted.
-  /// `state` is the full KgPipeline::SaveState image.
+  /// A checkpoint covering everything up to `seq` was persisted; the
+  /// WAL it replaces is reset only after this returns. `state` is the
+  /// full KgPipeline::SaveState image.
   virtual void OnCheckpoint(uint64_t seq, const std::string& state,
                             uint64_t kg_version) = 0;
 };
@@ -50,8 +51,10 @@ class CommitListener {
 /// Durability (DESIGN.md §5.10): with Options::durability.dir set,
 /// Recover() restores the last checkpoint, replays the WAL, and opens
 /// the log; every subsequent ingest is logged before it is applied and
-/// only acknowledged (Status OK) once both succeeded. kill -9 at any
-/// byte offset recovers a KG bit-identical to the last durable batch.
+/// only acknowledged (Status OK) once both succeeded — under
+/// FsyncPolicy::kAlways, also only once a group-commit fsync covering
+/// it returned. kill -9 at any byte offset recovers a KG bit-identical
+/// to the last durable batch.
 /// Nous construction options. Lives at namespace scope (with a nested
 /// alias below) because GCC 12 miscompiles `Options options = {}`
 /// default arguments when a nested class carries its own default
@@ -67,15 +70,6 @@ struct NousOptions {
   /// KG version it was computed at, so every ingest commit
   /// implicitly invalidates the whole cache.
   QueryCacheOptions query_cache;
-  /// Hash-shards the KG commit tier into N shards (DESIGN.md
-  /// §5.16): each shard owns its own commit lane, mutex, WAL
-  /// segment, checkpoint, and snapshot store, so parallel durable
-  /// ingest overlaps the per-batch fsyncs. 1 (the default) keeps
-  /// the classic single-graph layout byte-for-byte. Values > 1
-  /// force pipeline.publish_snapshots (sharded queries serve from
-  /// the planner snapshot plus the shard views) and are clamped to
-  /// kMaxShards. The fused KG is bit-identical for every value.
-  size_t shards = 1;
 };
 
 class Nous {
@@ -179,8 +173,10 @@ class Nous {
   Status ApplyReplicatedCheckpoint(uint64_t seq, const std::string& state)
       EXCLUDES(kg_mutex());
 
-  /// Highest WAL seq this instance has logged + applied (0 before any
-  /// durable commit). Lock-free; readable from any thread.
+  /// Highest WAL seq that is durable (0 before any durable commit):
+  /// under FsyncPolicy::kAlways, covered by a returned fsync or a
+  /// checkpoint; under the other policies, logged + applied.
+  /// Lock-free; readable from any thread.
   uint64_t last_durable_seq() const {
     return durable_seq_.load(std::memory_order_acquire);
   }
@@ -207,23 +203,6 @@ class Nous {
   Result<Answer> Execute(const Query& query,
                          std::shared_ptr<const KgSnapshot>* snapshot_out =
                              nullptr) EXCLUDES(kg_mutex());
-
-  /// True when the commit tier is hash-sharded (Options::shards > 1).
-  bool sharded() const { return shards_ != nullptr; }
-
-  /// Blocks until every shard lane has applied its queue, so the next
-  /// query sees a composite view at the latest committed version.
-  /// No-op when unsharded.
-  void DrainShards();
-
-  /// One published version per shard, in shard order (empty when
-  /// unsharded). After DrainShards() every entry equals the planner's
-  /// kg_version() — the coherence criterion composite reads check.
-  std::vector<uint64_t> CompositeVersion() const;
-
-  /// The shard commit tier, for tests and benches; null unsharded.
-  ShardSet* shard_set() { return shards_.get(); }
-  const ShardSet* shard_set() const { return shards_.get(); }
 
   /// Variants for callers that already hold a ReaderMutexLock on
   /// kg_mutex() — e.g. the HTTP API, which serializes the answer under
@@ -284,47 +263,30 @@ class Nous {
   void RegisterResourceProbes(ResourceSampler* sampler);
 
  private:
-  /// Clamps Options::shards and forces the settings sharding relies
-  /// on. Runs before pipeline_ is constructed.
-  static Options NormalizeOptions(Options options);
   /// Cache-checked execution against one immutable snapshot.
   Result<Answer> ExecuteOnSnapshot(
       const Query& query,
       const std::shared_ptr<const KgSnapshot>& snap) const;
-  /// Cache-checked scatter-gather execution over the shard views
-  /// published at `snap`'s version. When a lane has not yet published
-  /// that version, serves from the (bit-identical) planner snapshot
-  /// instead of blocking.
-  Result<Answer> ExecuteOnShards(
-      const Query& query,
-      const std::shared_ptr<const KgSnapshot>& snap) const;
-  /// Durable log-then-apply for one batch; caller holds ingest_mutex_
-  /// so WAL order always matches apply order.
-  Status IngestBatchDurable(const Article* articles, size_t count)
+  /// Durable ingest of one batch: commits it under ingest_mutex_,
+  /// then waits — outside the mutex, so concurrent writers share one
+  /// fsync — until the batch is durable.
+  Status IngestDurable(const Article* articles, size_t count)
+      EXCLUDES(ingest_mutex_, kg_mutex());
+  /// Log-then-apply for one batch; returns its WAL seq. The caller
+  /// holds ingest_mutex_ so WAL order always matches apply order.
+  Result<uint64_t> IngestBatchDurableLocked(const Article* articles,
+                                            size_t count)
       REQUIRES(ingest_mutex_) EXCLUDES(kg_mutex());
-  /// Sharded log-then-apply for one batch. `*seq_out` receives the
-  /// WAL seq the caller must WaitDurable() on *after* releasing
-  /// ingest_mutex_ (0 in non-durable mode), so concurrent writers
-  /// overlap their fsync waits.
-  Status IngestBatchSharded(const Article* articles, size_t count,
-                            uint64_t* seq_out) REQUIRES(ingest_mutex_)
+  /// Hands the durability manager the live KG version that `seq`
+  /// left behind (brief reader lock) and returns it.
+  uint64_t MarkAppliedLocked(uint64_t seq) REQUIRES(ingest_mutex_)
       EXCLUDES(kg_mutex());
-  /// Drains the pipeline's captured op batches to the shard lanes at
-  /// the current KG version (seq == 0 when there is nothing to fsync).
-  void CommitToShardsLocked(uint64_t seq) REQUIRES(ingest_mutex_)
-      EXCLUDES(kg_mutex());
-  /// Persists the planner + per-shard checkpoints and resets the
-  /// shard WALs (ShardSet::WriteCheckpoint commit protocol).
-  Status ShardedCheckpointLocked() REQUIRES(ingest_mutex_)
-      EXCLUDES(kg_mutex());
-  /// Sharded Recover() body: per-shard checkpoints + merged WAL
-  /// replay through the planner, re-captured onto the shards.
-  Result<RecoveryStats> RecoverShardedLocked() REQUIRES(ingest_mutex_)
-      EXCLUDES(kg_mutex());
-  /// Reads the live KG version (brief reader lock) and publishes the
-  /// (seq, version) pair to the lock-free accessors + the listener.
-  uint64_t PublishCommitLocked(uint64_t seq) REQUIRES(ingest_mutex_)
-      EXCLUDES(kg_mutex());
+  /// Writes `state` (at KG version `kgv`) as the checkpoint covering
+  /// everything logged, telling the listener before the WAL resets.
+  Status CheckpointLocked(const std::string& state, uint64_t kgv)
+      REQUIRES(ingest_mutex_) EXCLUDES(kg_mutex());
+  /// Live KG version under a brief reader lock.
+  uint64_t LiveKgVersion() const EXCLUDES(kg_mutex());
 
   Options options_;
   KgPipeline pipeline_;
@@ -337,21 +299,20 @@ class Nous {
   /// pipeline's kg_mutex, which IngestBatch acquires internally).
   /// Non-durable ingest never touches this mutex.
   AnnotatedMutex ingest_mutex_;
+  /// The durability manager's durable point (seq, kg_version),
+  /// published through its DurableHook for lock-free lag/staleness
+  /// reads by the serving tier.
+  std::atomic<uint64_t> durable_seq_{0};
+  std::atomic<uint64_t> durable_kg_version_{0};
+  /// Durable writers blocked on ingest_mutex_, so a committed writer
+  /// can tell group commit that another batch is about to follow.
+  std::atomic<size_t> queued_writers_{0};
   std::unique_ptr<DurabilityManager> durability_ GUARDED_BY(ingest_mutex_);
   /// Fast-path flag mirroring `durability_ != nullptr`; flipped once
   /// by Recover() before any concurrent ingest exists.
   std::atomic<bool> durability_enabled_{false};
   /// Replication hook; null when nothing is subscribed.
   CommitListener* listener_ GUARDED_BY(ingest_mutex_) = nullptr;
-  /// (seq, kg_version) of the last durable commit, published for
-  /// lock-free lag/staleness reads by the serving tier.
-  std::atomic<uint64_t> durable_seq_{0};
-  std::atomic<uint64_t> durable_kg_version_{0};
-  /// Sharded commit tier (Options::shards > 1); null otherwise. The
-  /// pointer is immutable after construction and the ShardSet is
-  /// internally synchronized. Declared last so the lane threads stop
-  /// before anything they publish into goes away.
-  std::unique_ptr<ShardSet> shards_;  // lint: unguarded(see above)
 };
 
 }  // namespace nous

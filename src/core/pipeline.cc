@@ -230,10 +230,8 @@ void KgPipeline::Ingest(const Article& article) {
   ExtractedDoc doc = ExtractDocument(article);
   {
     WriterMutexLock lock(kg_mutex_);
-    BeginOpCaptureLocked();
     CommitDocument(article, std::move(doc));
     ++kg_version_;
-    EndOpCaptureLocked(/*finalize=*/false);
   }
   PublishSnapshot();
 }
@@ -258,14 +256,12 @@ void KgPipeline::IngestBatch(const Article* articles, size_t count) {
   }
   {
     WriterMutexLock lock(kg_mutex_);
-    BeginOpCaptureLocked();
     for (size_t i = 0; i < count; ++i) {
       CommitDocument(articles[i], std::move(docs[i]));
     }
     // One bump per batch (the WAL commit unit), so recovery replay
     // reproduces the exact version of the uncrashed run.
     ++kg_version_;
-    EndOpCaptureLocked(/*finalize=*/false);
   }
   PublishSnapshot();
 }
@@ -364,7 +360,7 @@ void KgPipeline::CommitDocument(const Article& article,
           if (auto existing = graph_.FindEdge(s, *pred, o)) {
             const EdgeRecord& rec = graph_.Edge(*existing);
             if (!rec.meta.curated) {
-              SetEdgeConfidenceTracked(
+              graph_.SetEdgeConfidence(
                   *existing,
                   rec.meta.confidence * config_.retraction_factor);
               ++stats_.retractions;
@@ -446,7 +442,7 @@ void KgPipeline::CommitDocument(const Article& article,
       double boosted =
           std::max(rec.meta.confidence,
                    1.0 - (1.0 - rec.meta.confidence) * (1.0 - confidence));
-      SetEdgeConfidenceTracked(*existing, boosted);
+      graph_.SetEdgeConfidence(*existing, boosted);
       ++stats_.deduped_triples;
       metrics.deduped->Increment();
       if (config_.enable_source_trust &&
@@ -738,10 +734,8 @@ void KgPipeline::RefreshBpr(size_t epochs) {
 void KgPipeline::Finalize() {
   {
     WriterMutexLock lock(kg_mutex_);
-    BeginOpCaptureLocked();
     FinalizeLocked();
     ++kg_version_;
-    EndOpCaptureLocked(/*finalize=*/true);
   }
   PublishSnapshot();
 }
@@ -760,7 +754,7 @@ void KgPipeline::FinalizeLocked() {
           double prior =
               bpr_.Score(rec.subject, rec.predicate, rec.object);
           double rescored = rec.meta.confidence * (1.0 - w) + prior * w;
-          SetEdgeConfidenceTracked(e, std::clamp(rescored, 0.0, 1.0));
+          graph_.SetEdgeConfidence(e, std::clamp(rescored, 0.0, 1.0));
         });
   }
   // Fit in src/topic (pure), apply here: SetVertexTopics is a KG
@@ -770,126 +764,6 @@ void KgPipeline::FinalizeLocked() {
     graph_.SetVertexTopics(fitted.vertices[i], std::move(fitted.topics[i]));
   }
   lda_ = std::make_unique<LdaModel>(std::move(fitted.model));
-}
-
-void KgPipeline::EnableOpCapture() {
-  WriterMutexLock lock(kg_mutex_);
-  capture_ops_ = true;
-  captured_.clear();
-  capture_conf_.clear();
-  capture_vertex_watermark_ = graph_.NumVertices();
-  capture_edge_watermark_ = graph_.NumEdgeSlots();
-  // Seed the late-typing watchlist with every currently untyped
-  // vertex, so typings that land after a checkpoint restore still
-  // reach the shards. Called again after LoadState for the same
-  // reason (the ShardSet re-bootstraps from the restored graph).
-  capture_untyped_.clear();
-  for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
-    if (graph_.VertexType(v) == kInvalidType) {
-      capture_untyped_.push_back(v);
-    }
-  }
-}
-
-std::vector<KgOpBatch> KgPipeline::TakeCapturedOps() {
-  WriterMutexLock lock(kg_mutex_);
-  std::vector<KgOpBatch> out = std::move(captured_);
-  captured_.clear();
-  return out;
-}
-
-void KgPipeline::BeginOpCaptureLocked() {
-  if (!capture_ops_) return;
-  capture_conf_.clear();
-  capture_vertex_watermark_ = graph_.NumVertices();
-  capture_edge_watermark_ = graph_.NumEdgeSlots();
-}
-
-void KgPipeline::SetEdgeConfidenceTracked(EdgeId e, double confidence) {
-  graph_.SetEdgeConfidence(e, confidence);
-  if (capture_ops_) capture_conf_.emplace_back(e, confidence);
-}
-
-void KgPipeline::EndOpCaptureLocked(bool finalize) {
-  if (!capture_ops_) return;
-  KgOpBatch batch;
-  batch.finalize = finalize;
-  // New vertices, ascending: replaying defines in gid order keeps each
-  // shard's local insertion order aligned with global-id order, which
-  // the composite view's tie-breaking relies on.
-  for (VertexId v = static_cast<VertexId>(capture_vertex_watermark_);
-       v < graph_.NumVertices(); ++v) {
-    KgOp op;
-    op.kind = KgOp::Kind::kDefineVertex;
-    op.vertex = v;
-    op.label = graph_.VertexLabel(v);
-    TypeId t = graph_.VertexType(v);
-    if (t != kInvalidType) {
-      op.type_name = graph_.types().GetString(t);
-    } else {
-      capture_untyped_.push_back(v);
-    }
-    op.topics = graph_.VertexTopics(v);
-    batch.ops.push_back(std::move(op));
-  }
-  // Confidence rewrites of pre-batch edges, in call order; rewrites of
-  // edges created this batch are already folded into the kAddEdge meta
-  // below (the fused KG never removes edge slots, so every slot past
-  // the watermark is a new live edge).
-  for (const auto& [e, conf] : capture_conf_) {
-    if (e >= capture_edge_watermark_) continue;
-    KgOp op;
-    op.kind = KgOp::Kind::kSetEdgeConfidence;
-    op.edge = e;
-    op.confidence = conf;
-    batch.ops.push_back(std::move(op));
-  }
-  // New edges, ascending slot order, with their end-of-batch meta.
-  for (EdgeId e = static_cast<EdgeId>(capture_edge_watermark_);
-       e < graph_.NumEdgeSlots(); ++e) {
-    const EdgeRecord& rec = graph_.Edge(e);
-    KgOp op;
-    op.kind = KgOp::Kind::kAddEdge;
-    op.edge = e;
-    op.subject = rec.subject;
-    op.object = rec.object;
-    op.predicate_name = graph_.predicates().GetString(rec.predicate);
-    if (rec.meta.source != kInvalidSource) {
-      op.source_name = graph_.sources().GetString(rec.meta.source);
-    }
-    op.confidence = rec.meta.confidence;
-    op.timestamp = rec.meta.timestamp;
-    op.curated = rec.meta.curated;
-    batch.ops.push_back(std::move(op));
-  }
-  // Late typings: the linker types a vertex at most once, so each
-  // watched vertex graduates via exactly one kSetVertexType op.
-  size_t kept = 0;
-  for (VertexId v : capture_untyped_) {
-    TypeId t = graph_.VertexType(v);
-    if (t == kInvalidType) {
-      capture_untyped_[kept++] = v;
-      continue;
-    }
-    KgOp op;
-    op.kind = KgOp::Kind::kSetVertexType;
-    op.vertex = v;
-    op.type_name = graph_.types().GetString(t);
-    batch.ops.push_back(std::move(op));
-  }
-  capture_untyped_.resize(kept);
-  if (finalize) {
-    // Finalize refits LDA topics for every vertex; ship them all
-    // rather than diffing the (dense) distributions.
-    for (VertexId v = 0; v < graph_.NumVertices(); ++v) {
-      KgOp op;
-      op.kind = KgOp::Kind::kSetVertexTopics;
-      op.vertex = v;
-      op.topics = graph_.VertexTopics(v);
-      batch.ops.push_back(std::move(op));
-    }
-  }
-  captured_.push_back(std::move(batch));
 }
 
 void KgPipeline::PublishSnapshot() {

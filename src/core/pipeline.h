@@ -13,7 +13,6 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
-#include "core/kg_ops.h"
 #include "core/pipeline_stats.h"
 #include "core/snapshot.h"
 #include "corpus/article_generator.h"
@@ -243,16 +242,6 @@ class KgPipeline {
   /// operation when config().publish_snapshots is on; no-op otherwise.
   void PublishSnapshot() EXCLUDES(kg_mutex_);
 
-  /// Sharded mode (DESIGN.md §5.16): from now on, every committed
-  /// mutating operation also appends a KgOpBatch describing the exact
-  /// fused-KG mutations it performed, for replay on shard lanes.
-  void EnableOpCapture() EXCLUDES(kg_mutex_);
-
-  /// Drains the captured batches (FIFO). The ShardSet routes each
-  /// batch to per-shard lanes; batches must be taken after every
-  /// mutating call so the queue stays bounded.
-  std::vector<KgOpBatch> TakeCapturedOps() EXCLUDES(kg_mutex_);
-
  private:
   /// Result of the pure, thread-safe extraction stage for one article.
   struct ExtractedDoc {
@@ -283,20 +272,6 @@ class KgPipeline {
       REQUIRES(kg_mutex_);
   /// LoadState body, under the writer lock held by LoadState().
   Status LoadStateLocked(std::string_view payload) REQUIRES(kg_mutex_);
-
-  /// Op capture (sharded mode). Begin records vertex/edge watermarks;
-  /// End diffs the graph against them and appends one KgOpBatch:
-  /// [new-vertex defines, asc][confidence updates to pre-batch edges,
-  /// in call order][new edges with final meta, asc][late typings of
-  /// previously untyped vertices]. The groups commute with each other,
-  /// so replaying them in this canonical order reproduces the exact
-  /// interleaved mutation sequence's final state *and* id assignment.
-  void BeginOpCaptureLocked() REQUIRES(kg_mutex_);
-  void EndOpCaptureLocked(bool finalize) REQUIRES(kg_mutex_);
-  /// SetEdgeConfidence that also records (edge, value) for op capture;
-  /// all pipeline confidence rewrites must go through this.
-  void SetEdgeConfidenceTracked(EdgeId e, double confidence)
-      REQUIRES(kg_mutex_);
 
   /// Immutable after construction.
   PipelineConfig config_;
@@ -350,20 +325,6 @@ class KgPipeline {
   /// early.
   std::atomic<size_t> adhoc_counter_{0};
   PipelineStats stats_ GUARDED_BY(kg_mutex_);
-
-  /// ---- Op capture state (sharded mode; see EnableOpCapture). ----
-  bool capture_ops_ GUARDED_BY(kg_mutex_) = false;
-  std::vector<KgOpBatch> captured_ GUARDED_BY(kg_mutex_);
-  /// Confidence rewrites recorded by SetEdgeConfidenceTracked during
-  /// the current batch, in call order (cleared by Begin).
-  std::vector<std::pair<EdgeId, double>> capture_conf_
-      GUARDED_BY(kg_mutex_);
-  size_t capture_vertex_watermark_ GUARDED_BY(kg_mutex_) = 0;
-  size_t capture_edge_watermark_ GUARDED_BY(kg_mutex_) = 0;
-  /// Vertices previously emitted with no type; the linker types a
-  /// vertex at most once, so each entry graduates via one
-  /// kSetVertexType op the batch it gains a type.
-  std::vector<VertexId> capture_untyped_ GUARDED_BY(kg_mutex_);
 };
 
 }  // namespace nous

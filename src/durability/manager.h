@@ -1,12 +1,16 @@
 #ifndef NOUS_DURABILITY_MANAGER_H_
 #define NOUS_DURABILITY_MANAGER_H_
 
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
+#include "common/thread_annotations.h"
 #include "durability/checkpoint.h"
 #include "durability/wal.h"
 
@@ -29,19 +33,40 @@ struct DurabilityOptions {
 ///
 ///   ingest:     LogBatch(encode(batch))   -- log before apply
 ///               pipeline.IngestBatch(...) -- apply
-///               ack                        -- only after both
-///   checkpoint: WriteCheckpoint(pipeline.SaveState())
+///               MarkApplied(seq, version) -- under the ingest mutex
+///               WaitDurable(seq)          -- after releasing it
+///               ack                        -- only after all of them
+///   checkpoint: WriteCheckpoint(pipeline.SaveState(), version)
 ///               -> atomically replaces checkpoint.nous, then resets
 ///                  the WAL (records <= last_applied_seq are dead)
 ///   recovery:   Recover() -> checkpoint payload + WAL records with
 ///               seq > checkpoint.last_applied_seq, torn tail dropped
 ///               and the file truncated to its valid prefix.
 ///
-/// Not internally synchronized: Nous serializes durable ingest under
-/// its ingest mutex (acquired before the pipeline's kg_mutex).
+/// Group commit (FsyncPolicy::kAlways): LogBatch only appends. A
+/// writer then waits in WaitDurable, outside the ingest mutex; the
+/// first waiter that finds no in-flight fsync covering its seq fsyncs
+/// the WAL for every seq applied so far — first waiting once for a
+/// writer already queued behind it, when an fsync is in flight anyway
+/// — so concurrent writers share fsyncs. The WAL is written in order,
+/// so one durable watermark suffices; fsyncs retire into it in the
+/// order they started. An fsync error is sticky: it fails every
+/// waiter not yet covered and every later LogBatch and checkpoint.
+///
+/// Threading: WaitDurable is internally synchronized. Every other
+/// mutating call must be serialized by the caller (Nous holds its
+/// ingest mutex, acquired before the pipeline's kg_mutex).
 class DurabilityManager {
  public:
-  explicit DurabilityManager(DurabilityOptions options);
+  /// Receives the durable point — (seq, KG version) — each time it
+  /// moves: an fsync covered more seqs, a checkpoint or OpenWal
+  /// re-anchored it, or (kInterval/kNever) a batch was applied. Runs
+  /// under the manager's sync mutex, so calls arrive in order; it must
+  /// only publish (e.g. store atomics), never call back in.
+  using DurableHook = std::function<void(uint64_t seq, uint64_t kg_version)>;
+
+  explicit DurabilityManager(DurabilityOptions options,
+                             DurableHook on_durable = nullptr);
   ~DurabilityManager();
 
   DurabilityManager(const DurabilityManager&) = delete;
@@ -66,30 +91,52 @@ class DurabilityManager {
   Result<RecoveredState> Recover();
 
   /// Opens the WAL for append; subsequent LogBatch calls are numbered
-  /// from `last_applied_seq + 1`.
-  Status OpenWal(uint64_t last_applied_seq);
+  /// from `last_applied_seq + 1`. The recovered state — seq
+  /// `last_applied_seq` at `kg_version` — is the initial durable point.
+  Status OpenWal(uint64_t last_applied_seq, uint64_t kg_version = 0);
 
-  /// Appends one encoded batch and applies the fsync policy. On
-  /// success returns the batch's sequence number; on failure nothing
-  /// was committed and the caller must not acknowledge the batch.
+  /// Appends one encoded batch and applies the fsync policy (kAlways:
+  /// none here, see WaitDurable). On success returns the batch's
+  /// sequence number; on failure nothing was committed and the caller
+  /// must not acknowledge the batch.
   Result<uint64_t> LogBatch(std::string_view payload);
+
+  /// Records that the last logged batch, `seq`, is applied and left
+  /// the KG at `kg_version`. Under kAlways the pair becomes durable
+  /// once an fsync covers it; otherwise at once.
+  void MarkApplied(uint64_t seq, uint64_t kg_version);
+
+  /// Blocks until an fsync covering `seq` has returned, running one
+  /// itself when none in flight covers it. Returns at once unless the
+  /// policy is kAlways. Call without the ingest mutex, so concurrent
+  /// writers share fsyncs. `batch_queued` says another writer is
+  /// already waiting to commit: while an fsync is in flight anyway,
+  /// the waiter then first gives that batch the chance to be applied,
+  /// so one fsync covers both.
+  Status WaitDurable(uint64_t seq, bool batch_queued = false);
 
   /// True when checkpoint_interval_batches have been logged since the
   /// last checkpoint.
   bool ShouldCheckpoint() const;
 
   /// Atomically persists `state` (a KgPipeline::SaveState payload)
-  /// covering everything logged so far, then resets the WAL to empty.
-  Status WriteCheckpoint(std::string state);
+  /// covering everything logged so far, at KG version `kg_version`,
+  /// then resets the WAL to empty. `on_persisted`, when set, runs
+  /// between the two: a WAL tailer that sees the reset can rely on
+  /// having heard of the checkpoint first. Waits out in-flight fsyncs
+  /// and holds off new ones meanwhile; on success (last logged seq,
+  /// kg_version) is the durable point. Refused after an fsync error.
+  Status WriteCheckpoint(std::string state, uint64_t kg_version,
+                         const std::function<void()>& on_persisted = {});
 
   /// Installs a checkpoint image received from elsewhere (replication:
-  /// a leader's full image covering `last_applied_seq`). Re-anchors the
-  /// local sequence counter to the image, persists it, and resets the
-  /// WAL — after this, LogBatch numbers from last_applied_seq + 1.
-  Status InstallCheckpoint(uint64_t last_applied_seq, std::string state);
-
-  /// Forces buffered WAL records to stable storage now.
-  Status SyncWal();
+  /// a leader's full image covering `last_applied_seq` at
+  /// `kg_version`). Re-anchors the local sequence counter and durable
+  /// point to the image, persists it, and resets the WAL — after
+  /// this, LogBatch numbers from last_applied_seq + 1.
+  Status InstallCheckpoint(uint64_t last_applied_seq, uint64_t kg_version,
+                           std::string state,
+                           const std::function<void()>& on_persisted = {});
 
   Status Close();
 
@@ -99,10 +146,55 @@ class DurabilityManager {
   const DurabilityOptions& options() const { return options_; }
 
  private:
+  bool group_commit() const {
+    return options_.fsync_policy == FsyncPolicy::kAlways;
+  }
+  Status OpenWalFile();
+  /// WriteCheckpoint's file work: persist the image, reset the WAL.
+  Status ResetToCheckpoint(std::string state,
+                           const std::function<void()>& on_persisted);
+  /// Moves the durable point to (seq, kg_version) and tells the hook.
+  void SetDurableLocked(uint64_t seq, uint64_t kg_version)
+      REQUIRES(sync_mutex_);
+
   DurabilityOptions options_;
+  DurableHook on_durable_;
+  /// Appended under the caller's serialization; under group commit a
+  /// waiter also calls wal_.Flush() (const, fd only) concurrently.
+  /// Open/Close happen only with no fsync in flight (checkpointing_).
   WalWriter wal_;
   uint64_t last_logged_seq_ = 0;
   uint64_t batches_since_checkpoint_ = 0;
+
+  /// Group-commit state.
+  AnnotatedMutex sync_mutex_;
+  std::condition_variable sync_cv_;
+  /// Last (seq, version) marked applied: what the next fsync covers.
+  uint64_t applied_seq_ GUARDED_BY(sync_mutex_) = 0;
+  uint64_t applied_version_ GUARDED_BY(sync_mutex_) = 0;
+  /// The durable point. Under kAlways every seq <= durable_seq_ is on
+  /// stable storage; otherwise it follows applied_seq_.
+  uint64_t durable_seq_ GUARDED_BY(sync_mutex_) = 0;
+  /// Highest seq any fsync started to cover. A seq in
+  /// (durable_seq_, sync_started_upto_] has a covering fsync pending.
+  uint64_t sync_started_upto_ GUARDED_BY(sync_mutex_) = 0;
+  /// One started fsync and the durable point it would set.
+  struct PendingSync {
+    uint64_t upto = 0;
+    uint64_t kg_version = 0;
+    bool done = false;
+    Status status;
+  };
+  /// Started fsyncs in start order. Each retires only after every
+  /// earlier one, so a later fsync never vouches for seqs an earlier,
+  /// failed one covered.
+  std::deque<PendingSync> pending_syncs_ GUARDED_BY(sync_mutex_);
+  /// Ticket (start number) of pending_syncs_.front().
+  uint64_t first_pending_ticket_ GUARDED_BY(sync_mutex_) = 0;
+  /// True while a checkpoint resets the WAL; no fsync may start.
+  bool checkpointing_ GUARDED_BY(sync_mutex_) = false;
+  /// First fsync failure; sticky.
+  Status sync_error_ GUARDED_BY(sync_mutex_);
 };
 
 }  // namespace nous

@@ -149,6 +149,12 @@ Status WalWriter::Append(uint64_t seq, std::string_view payload) {
 }
 
 Status WalWriter::Sync() {
+  NOUS_RETURN_IF_ERROR(Flush());
+  records_since_sync_ = 0;
+  return Status::Ok();
+}
+
+Status WalWriter::Flush() const {
   if (!is_open()) return Status::FailedPrecondition("WAL not open");
   NOUS_SPAN("wal_fsync");
   if (auto fault = FaultInjector::Global().Hit("wal_fsync")) {
@@ -160,7 +166,6 @@ Status WalWriter::Sync() {
     }
   }
   if (::fsync(fd_) != 0) return Status::Internal(Errno("fsync", path_));
-  records_since_sync_ = 0;
   return Status::Ok();
 }
 

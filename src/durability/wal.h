@@ -82,6 +82,12 @@ class WalWriter {
   /// Forces everything appended so far to stable storage.
   Status Sync();
 
+  /// Sync() without touching any writer state: fsyncs the writer's own
+  /// fd, so it may run on another thread while Append writes the next
+  /// frame (DurabilityManager's group commit). Open/Close must not run
+  /// concurrently with it.
+  Status Flush() const;
+
   /// Syncs (best effort) and closes the file. Idempotent.
   Status Close();
 

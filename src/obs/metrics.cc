@@ -293,19 +293,20 @@ void MetricsRegistry::PrintSummary(std::ostream& os) const {
     table.Print(os);
   }
   if (!histograms.empty()) {
-    TablePrinter table({"latency metric", "count", "mean ms", "p50 ms",
-                        "p90 ms", "p99 ms", "max ms"});
+    TablePrinter table({"histogram (*_seconds in ms)", "count", "mean",
+                        "p50", "p90", "p99", "max"});
     for (const auto& row : histograms) {
       double mean = row.count == 0
                         ? 0
                         : row.sum / static_cast<double>(row.count);
+      const double scale = EndsWith(row.name, "_seconds") ? 1e3 : 1.0;
       table.AddRow({row.name,
                     TablePrinter::Int(static_cast<long long>(row.count)),
-                    TablePrinter::Num(mean * 1e3, 4),
-                    TablePrinter::Num(row.p50 * 1e3, 4),
-                    TablePrinter::Num(row.p90 * 1e3, 4),
-                    TablePrinter::Num(row.p99 * 1e3, 4),
-                    TablePrinter::Num(row.max * 1e3, 4)});
+                    TablePrinter::Num(mean * scale, 4),
+                    TablePrinter::Num(row.p50 * scale, 4),
+                    TablePrinter::Num(row.p90 * scale, 4),
+                    TablePrinter::Num(row.p99 * scale, 4),
+                    TablePrinter::Num(row.max * scale, 4)});
     }
     table.Print(os);
   }

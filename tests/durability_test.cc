@@ -6,11 +6,15 @@
 // paths deterministically.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,6 +32,7 @@
 #include "durability/wal.h"
 #include "durability/wal_codec.h"
 #include "kb/kb_generator.h"
+#include "obs/metrics.h"
 
 namespace nous {
 namespace {
@@ -403,7 +408,8 @@ TEST(DurabilityManagerTest, CheckpointResetsWalAndFloorsReplay) {
     ASSERT_TRUE(manager.OpenWal(0).ok());
     ASSERT_TRUE(manager.LogBatch("pre ckpt 1").ok());
     ASSERT_TRUE(manager.LogBatch("pre ckpt 2").ok());
-    ASSERT_TRUE(manager.WriteCheckpoint("snapshot at seq 2").ok());
+    ASSERT_TRUE(
+        manager.WriteCheckpoint("snapshot at seq 2", /*kg_version=*/0).ok());
     ASSERT_TRUE(manager.LogBatch("post ckpt").ok());
   }
   DurabilityManager manager(options);
@@ -461,8 +467,63 @@ TEST(DurabilityManagerTest, ShouldCheckpointFollowsTheConfiguredCadence) {
   EXPECT_FALSE(manager.ShouldCheckpoint());
   ASSERT_TRUE(manager.LogBatch("b").ok());
   EXPECT_TRUE(manager.ShouldCheckpoint());
-  ASSERT_TRUE(manager.WriteCheckpoint("state").ok());
+  ASSERT_TRUE(manager.WriteCheckpoint("state", /*kg_version=*/0).ok());
   EXPECT_FALSE(manager.ShouldCheckpoint());
+}
+
+/// Count of one registry histogram: the group-commit tests count WAL
+/// fsyncs through the wal_fsync span's latency histogram.
+uint64_t HistogramCount(const std::string& name) {
+  for (const auto& row : MetricsRegistry::Global().HistogramRows()) {
+    if (row.name == name) return row.count;
+  }
+  return 0;
+}
+
+uint64_t FsyncCount() {
+  return HistogramCount("nous_wal_fsync_latency_seconds");
+}
+
+TEST(DurabilityManagerTest, GroupCommitMovesTheDurablePointOnlyOnFsync) {
+  FaultGuard guard;
+  std::string dir = FreshDir("mgr_group_commit");
+  DurabilityOptions options;
+  options.dir = dir;
+  options.fsync_policy = FsyncPolicy::kAlways;
+  std::vector<std::pair<uint64_t, uint64_t>> durable;
+  DurabilityManager manager(options, [&](uint64_t seq, uint64_t version) {
+    durable.emplace_back(seq, version);
+  });
+  ASSERT_TRUE(manager.Recover().ok());
+  ASSERT_TRUE(manager.OpenWal(0, /*kg_version=*/1).ok());
+  ASSERT_EQ(durable.back(), std::make_pair(uint64_t{0}, uint64_t{1}));
+
+  // Logging and applying make nothing durable under kAlways...
+  const uint64_t fsyncs = FsyncCount();
+  ASSERT_TRUE(manager.LogBatch("one").ok());
+  manager.MarkApplied(1, 2);
+  ASSERT_TRUE(manager.LogBatch("two").ok());
+  manager.MarkApplied(2, 3);
+  EXPECT_EQ(durable.back().first, 0u);
+  EXPECT_EQ(FsyncCount(), fsyncs);
+  // ...the first waiter's fsync covers every applied seq at once, and
+  // the second waiter finds itself already covered.
+  ASSERT_TRUE(manager.WaitDurable(1).ok());
+  EXPECT_EQ(durable.back(), std::make_pair(uint64_t{2}, uint64_t{3}));
+  ASSERT_TRUE(manager.WaitDurable(2).ok());
+  EXPECT_EQ(FsyncCount(), fsyncs + 1);
+
+  // A failed fsync leaves the durable point where it was, fails its
+  // waiter, and sticks: later appends and checkpoints are refused.
+  ASSERT_TRUE(manager.LogBatch("three").ok());
+  manager.MarkApplied(3, 4);
+  FaultInjector::Global().Arm("wal_fsync", FaultKind::kFail, 1);
+  EXPECT_FALSE(manager.WaitDurable(3).ok());
+  EXPECT_EQ(durable.back().first, 2u);
+  EXPECT_FALSE(manager.WaitDurable(3).ok());
+  EXPECT_FALSE(manager.LogBatch("four").ok());
+  EXPECT_FALSE(manager.WriteCheckpoint("state", 4).ok());
+  EXPECT_EQ(durable.back().first, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -548,6 +609,12 @@ class DurabilityPipelineFixture : public ::testing::Test {
   static size_t Documents(Nous& nous) {
     ReaderMutexLock lock(nous.kg_mutex());
     return nous.stats().documents;
+  }
+  static std::string GraphBytes(Nous& nous) {
+    ReaderMutexLock lock(nous.kg_mutex());
+    BinaryWriter w;
+    nous.graph().SaveBinary(&w);
+    return w.Take();
   }
 
   /// A non-durable reference that ingested `batches[0..count)`.
@@ -933,6 +1000,228 @@ TEST_F(DurabilityPipelineFixture, KgVersionSurvivesCrashRecovery) {
     ASSERT_TRUE(recovered.IngestBatch(more[4]).ok());
     EXPECT_EQ(recovered.snapshot()->version(), reference_version + 1);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Group commit under FsyncPolicy::kAlways
+
+/// The WAL seq of the calling thread's latest commit. OnCommit runs on
+/// the committing thread, so a writer reads its own seq here once its
+/// ingest call returns.
+thread_local uint64_t t_committed_seq = 0;
+
+/// Records every commit and counts those the durable point already
+/// covered at commit time (exactly zero with a single writer; with
+/// several, another writer's fsync may legitimately get there first).
+class CommitRecorder : public CommitListener {
+ public:
+  explicit CommitRecorder(const Nous* nous) : nous_(nous) {}
+
+  void OnCommit(uint64_t seq, const std::string& payload,
+                uint64_t kg_version) override {
+    t_committed_seq = seq;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (nous_->last_durable_seq() >= seq) ++covered_before_fsync_;
+    commits_.push_back({seq, payload, kg_version});
+  }
+  void OnCheckpoint(uint64_t, const std::string&, uint64_t) override {}
+
+  struct Commit {
+    uint64_t seq;
+    std::string payload;
+    uint64_t kg_version;
+  };
+  std::vector<Commit> commits() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return commits_;
+  }
+  size_t covered_before_fsync() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return covered_before_fsync_;
+  }
+
+ private:
+  const Nous* nous_;
+  std::mutex mutex_;
+  std::vector<Commit> commits_;
+  size_t covered_before_fsync_ = 0;
+};
+
+class GroupCommitTest : public DurabilityPipelineFixture {
+ protected:
+  Nous::Options AlwaysOptions(const std::string& dir,
+                              size_t checkpoint_interval = 0) {
+    Nous::Options options = DurableOptions(dir, checkpoint_interval);
+    options.durability.fsync_policy = FsyncPolicy::kAlways;
+    return options;
+  }
+
+  /// Runs `writers` threads that split `articles` between them, one
+  /// Ingest per article. Returns how many acks were OK; every OK ack
+  /// must already be covered by last_durable_seq().
+  size_t RunWriters(Nous& nous, const std::vector<Article>& articles,
+                    size_t writers) {
+    CommitRecorder recorder(&nous);  // sets each writer's t_committed_seq
+    nous.SetCommitListener(&recorder);
+    std::atomic<size_t> next{0};
+    std::atomic<size_t> ok{0};
+    std::atomic<size_t> acked_uncovered{0};
+    std::vector<std::thread> threads;
+    for (size_t w = 0; w < writers; ++w) {
+      threads.emplace_back([&] {
+        for (;;) {
+          const size_t i = next.fetch_add(1);
+          if (i >= articles.size()) return;
+          if (!nous.Ingest(articles[i]).ok()) continue;
+          ++ok;
+          if (nous.last_durable_seq() < t_committed_seq) ++acked_uncovered;
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    nous.SetCommitListener(nullptr);
+    EXPECT_EQ(acked_uncovered.load(), 0u)
+        << "an ingest acked before an fsync covered its seq";
+    return ok.load();
+  }
+
+  static constexpr size_t kWriters = 8;
+};
+
+TEST_F(GroupCommitTest, EveryIngestPathAcksOnlyAfterItsFsync) {
+  std::string leader_dir = FreshDir("group_ack_leader");
+  std::string follower_dir = FreshDir("group_ack_follower");
+  auto articles = MakeArticles();
+  auto batches = MakeBatches(articles, 2);
+  ASSERT_EQ(batches.size(), 2u);
+
+  Nous leader(&kb_, AlwaysOptions(leader_dir));
+  ASSERT_TRUE(leader.EnableDurability().ok());
+  CommitRecorder recorder(&leader);
+  leader.SetCommitListener(&recorder);
+  // One writer: nothing else can run an fsync between a commit and
+  // its own wait, so the commit-time check below is exact.
+  ASSERT_TRUE(leader.Ingest(articles[0]).ok());
+  EXPECT_EQ(leader.last_durable_seq(), 1u);
+  ASSERT_TRUE(leader.IngestBatch(batches[1]).ok());
+  EXPECT_EQ(leader.last_durable_seq(), 2u);
+  ASSERT_TRUE(
+      leader.IngestText("DJI acquired SkyWard Labs.", Date{2016, 1, 1}, "cli")
+          .ok());
+  EXPECT_EQ(leader.last_durable_seq(), 3u);
+  leader.SetCommitListener(nullptr);
+  EXPECT_EQ(recorder.covered_before_fsync(), 0u);
+
+  // A follower applying the shipped batches acks the same way.
+  Nous follower(&kb_, AlwaysOptions(follower_dir));
+  ASSERT_TRUE(follower.EnableDurability().ok());
+  CommitRecorder follower_recorder(&follower);
+  follower.SetCommitListener(&follower_recorder);
+  for (const auto& commit : recorder.commits()) {
+    ASSERT_TRUE(follower
+                    .ApplyReplicatedBatch(commit.seq, commit.payload,
+                                          commit.kg_version)
+                    .ok());
+    EXPECT_EQ(follower.last_durable_seq(), commit.seq);
+    EXPECT_EQ(follower.durable_kg_version(), commit.kg_version);
+  }
+  follower.SetCommitListener(nullptr);
+  EXPECT_EQ(follower_recorder.covered_before_fsync(), 0u);
+  EXPECT_EQ(GraphBytes(follower), GraphBytes(leader));
+}
+
+TEST_F(GroupCommitTest, ConcurrentWritersShareFsyncsAndRecoverBitIdentical) {
+  FaultGuard guard;
+  std::string dir = FreshDir("group_concurrent");
+  auto articles = MakeArticles();
+  ASSERT_GT(articles.size(), kWriters);
+  std::string live_bytes;
+  uint64_t live_seq = 0;
+  {
+    Nous nous(&kb_, AlwaysOptions(dir));
+    ASSERT_TRUE(nous.EnableDurability().ok());
+    // A slow disk — much slower than one commit, even under a
+    // sanitizer: a writer that finishes its commit while an fsync is
+    // in flight and another writer is queued lets that writer's batch
+    // join its own fsync.
+    FaultInjector::Global().Arm("wal_fsync", FaultKind::kDelay, 1,
+                                /*sticky=*/true, /*arg=*/20);
+    const uint64_t fsyncs = FsyncCount();
+    EXPECT_EQ(RunWriters(nous, articles, kWriters), articles.size());
+    EXPECT_LT(FsyncCount() - fsyncs, articles.size());
+    EXPECT_GT(HistogramCount("nous_wal_group_commit_size"), 0u);
+    FaultInjector::Global().Reset();
+    EXPECT_EQ(nous.last_durable_seq(), articles.size());
+    live_bytes = GraphBytes(nous);
+    live_seq = nous.last_durable_seq();
+  }
+  Nous recovered(&kb_, AlwaysOptions(dir));
+  auto stats = recovered.Recover();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->replayed_batches, articles.size());
+  EXPECT_EQ(recovered.last_durable_seq(), live_seq);
+  EXPECT_EQ(GraphBytes(recovered), live_bytes);
+}
+
+TEST_F(GroupCommitTest, FailedFsyncFailsEveryCoveredWriterAndSticks) {
+  FaultGuard guard;
+  std::string dir = FreshDir("group_fsync_fail");
+  auto articles = MakeArticles();
+  ASSERT_GE(articles.size(), kWriters + 2);
+  std::string live_bytes;
+  {
+    Nous nous(&kb_, AlwaysOptions(dir));
+    ASSERT_TRUE(nous.EnableDurability().ok());
+    ASSERT_TRUE(nous.Ingest(articles[0]).ok());
+    ASSERT_EQ(nous.last_durable_seq(), 1u);
+
+    // The next fsync fails. Every writer is covered by it or arrives
+    // after it, so none may be acknowledged.
+    FaultInjector::Global().Arm("wal_fsync", FaultKind::kFail, 1);
+    std::vector<Article> racing(articles.begin() + 1,
+                                articles.begin() + 1 + kWriters);
+    EXPECT_EQ(RunWriters(nous, racing, kWriters), 0u);
+    // Sticky: the disk is not trusted again until a restart.
+    EXPECT_FALSE(nous.Ingest(articles[kWriters + 1]).ok());
+    EXPECT_FALSE(nous.Checkpoint().ok());
+    // The durable point never moved past the last good fsync.
+    EXPECT_EQ(nous.last_durable_seq(), 1u);
+    FaultInjector::Global().Reset();
+    live_bytes = GraphBytes(nous);
+  }
+  // Recovery keeps the acknowledged batch; the unacknowledged ones
+  // were logged before they were applied, so it lands on exactly the
+  // KG the failed instance was serving.
+  Nous recovered(&kb_, AlwaysOptions(dir));
+  auto stats = recovered.Recover();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_GE(stats->replayed_batches, 1u);
+  EXPECT_EQ(GraphBytes(recovered), live_bytes);
+}
+
+TEST_F(GroupCommitTest, CheckpointCadenceUnderConcurrentWritersCompletes) {
+  FaultGuard guard;
+  std::string dir = FreshDir("group_checkpoint");
+  auto articles = MakeArticles();
+  std::string live_bytes;
+  {
+    Nous nous(&kb_, AlwaysOptions(dir, /*checkpoint_interval=*/3));
+    ASSERT_TRUE(nous.EnableDurability().ok());
+    // Fsyncs slow enough to be in flight when a checkpoint starts.
+    FaultInjector::Global().Arm("wal_fsync", FaultKind::kDelay, 1,
+                                /*sticky=*/true, /*arg=*/1);
+    EXPECT_EQ(RunWriters(nous, articles, kWriters), articles.size());
+    FaultInjector::Global().Reset();
+    EXPECT_EQ(nous.last_durable_seq(), articles.size());
+    EXPECT_TRUE(FileExists(dir + "/checkpoint.nous"));
+    live_bytes = GraphBytes(nous);
+  }
+  Nous recovered(&kb_, AlwaysOptions(dir));
+  auto stats = recovered.Recover();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_TRUE(stats->restored_checkpoint);
+  EXPECT_LT(stats->replayed_batches, 3u);
+  EXPECT_EQ(GraphBytes(recovered), live_bytes);
 }
 
 }  // namespace

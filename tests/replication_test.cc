@@ -495,6 +495,12 @@ TEST_F(ReplicationFixture, FinalizePropagatesToFollowers) {
   ReplicationFollower follower(follower_nous.get(),
                                FollowOptions(leader.port()));
   ASSERT_TRUE(follower.Start().ok());
+  // The session must be live before the first Finalize: a follower
+  // whose handshake lands after it converges from a single image, and
+  // this test checks that each Finalize ships its own.
+  ASSERT_TRUE(WaitFor([&] {
+    return follower.View().connected && leader.View().followers == 1;
+  }));
 
   auto batches = MakeBatches(4);
   for (size_t i = 0; i < batches.size(); ++i) {

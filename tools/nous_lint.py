@@ -65,13 +65,15 @@ hygiene contracts (DESIGN.md "Static analysis & locking contracts"):
                       AddEdge, RemoveEdge, SetVertexType,
                       SetVertexTopics, AddVertexTerm,
                       SetEdgeConfidence, RebuildDerivedIndexes) is
-                      confined to the commit path: src/graph/ itself,
-                      the sequential planner (src/core/pipeline.cc),
-                      and the shard replay lanes
-                      (src/core/shard_set.cc). Anywhere else a write
-                      would bypass op capture, and the N-shard replay
-                      (DESIGN.md §5.16) silently diverges from the
-                      planner. Suppress with
+                      confined to the commit path: src/graph/ itself
+                      and the sequential planner
+                      (src/core/pipeline.cc). WAL replay reproduces
+                      the KG bit for bit only because every write is a
+                      deterministic function of the logged batches,
+                      applied in seq order under the kg_mutex
+                      (DESIGN.md §5.10); a write from anywhere else
+                      can break that, and recovery or a replica then
+                      diverges silently. Suppress with
                       `// lint: graph-mutation-ok(reason)`.
 
 Suppression comments must name a reason; empty parentheses do not
@@ -138,10 +140,8 @@ GRAPH_MUTATOR_RE = re.compile(
     r"(?:\.|->)\s*(GetOrAddVertex|AddEdge|RemoveEdge|SetVertexType|"
     r"SetVertexTopics|AddVertexTerm|SetEdgeConfidence|"
     r"RebuildDerivedIndexes)\s*\(")
-# The commit path: the graph layer, the sequential planner, the shard
-# replay lanes.
-GRAPH_MUTATION_ALLOWED = (
-    "/src/graph/", "/src/core/pipeline.cc", "/src/core/shard_set.cc")
+# The commit path: the graph layer and the sequential planner.
+GRAPH_MUTATION_ALLOWED = ("/src/graph/", "/src/core/pipeline.cc")
 
 
 def strip_comments_and_strings(text):
@@ -399,10 +399,9 @@ class Linter:
                     path, lineno, "graph-mutation",
                     f"direct PropertyGraph mutation '{m.group(1)}' "
                     "outside the commit path (src/graph/, "
-                    "src/core/pipeline.cc, src/core/shard_set.cc); "
-                    "route it through captured KgOps so shard replay "
-                    "stays bit-identical — or add "
-                    "`// lint: graph-mutation-ok(reason)`")
+                    "src/core/pipeline.cc); route it through the "
+                    "pipeline so WAL replay stays bit-identical — or "
+                    "add `// lint: graph-mutation-ok(reason)`")
 
     # R8
     def check_handler_spans(self, path, raw_lines, code_lines):
