@@ -44,7 +44,7 @@ void RunGrowthSweep() {
          TablePrinter::Int(static_cast<long long>(stats.curated_edges)),
          TablePrinter::Int(static_cast<long long>(stats.extracted_edges)),
          TablePrinter::Int(static_cast<long long>(
-             nous.stats().new_entities)),
+             nous.snapshot()->stats().new_entities)),
          TablePrinter::Num(conf.Mean(), 3),
          TablePrinter::Num(conf.Quantile(0.1), 3),
          TablePrinter::Num(conf.Quantile(0.9), 3),

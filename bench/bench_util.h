@@ -67,6 +67,15 @@ inline LatencyQuantilesUs GlobalHistogramQuantilesUs(
   return q;
 }
 
+/// Total seconds recorded into one registry latency histogram since
+/// the last ResetAll() (0 when the histogram is not registered).
+inline double GlobalHistogramSumSeconds(const std::string& name) {
+  for (const auto& row : MetricsRegistry::Global().HistogramRows()) {
+    if (row.name == name) return row.sum;
+  }
+  return 0;
+}
+
 inline void PrintHeader(const std::string& experiment,
                         const std::string& paper_artifact,
                         const std::string& what) {

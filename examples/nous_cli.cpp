@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
     }
     if (trimmed == ":stats") {
       std::cout << nous.ComputeStats().ToString();
-      std::cout << nous.stats().ToString() << "\n";
+      std::cout << nous.snapshot()->stats().ToString() << "\n";
       continue;
     }
     if (trimmed == ":checkpoint") {
@@ -209,18 +209,19 @@ int main(int argc, char** argv) {
       }
       nous.Finalize();  // refresh topics for path queries
       std::cout << "ingested; KG now has "
-                << nous.graph().NumEdges() << " edges\n";
+                << nous.snapshot()->graph().NumEdges() << " edges\n";
       continue;
     }
     if (StartsWith(trimmed, ":save ")) {
       std::string path(Trim(trimmed.substr(6)));
-      Status s = SaveGraphToFile(nous.graph(), path);
+      Status s = SaveGraphToFile(nous.snapshot()->graph(), path);
       std::cout << (s.ok() ? "saved to " + path : s.ToString()) << "\n";
       continue;
     }
-    auto answer = nous.Ask(std::string(trimmed));
+    std::shared_ptr<const KgSnapshot> snap;
+    auto answer = nous.Ask(std::string(trimmed), &snap);
     if (answer.ok()) {
-      std::cout << answer->Render(nous.graph());
+      std::cout << answer->Render(snap->graph());
     } else {
       std::cout << "error: " << answer.status() << "\n";
     }

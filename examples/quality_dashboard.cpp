@@ -48,7 +48,7 @@ int main() {
   GraphStats stats = nous.ComputeStats();
   std::cout << "-- graph composition --\n" << stats.ToString() << "\n";
   std::cout << "-- pipeline counters --\n"
-            << nous.stats().ToString() << "\n\n";
+            << nous.snapshot()->stats().ToString() << "\n\n";
 
   std::cout << "-- extracted-confidence distribution --\n";
   auto buckets = stats.extracted_confidence.Bucketize(0.0, 1.0, 10);

@@ -43,7 +43,7 @@ int main() {
 
   GraphStats stats = nous.ComputeStats();
   std::cout << "\nFused knowledge graph:\n" << stats.ToString() << "\n";
-  std::cout << "Pipeline: " << nous.stats().ToString() << "\n\n";
+  std::cout << "Pipeline: " << nous.snapshot()->stats().ToString() << "\n\n";
 
   // 5. Ask questions.
   for (const char* question :

@@ -325,47 +325,20 @@ Result<Answer> Nous::Execute(const Query& query,
                              std::shared_ptr<const KgSnapshot>* snapshot_out) {
   std::shared_ptr<const KgSnapshot> snap = pipeline_.snapshot();
   if (snapshot_out != nullptr) *snapshot_out = snap;
-  if (snap == nullptr) {
-    // Snapshot publishing disabled: the pre-snapshot locked path.
-    ReaderMutexLock lock(kg_mutex());
-    return ExecuteUnlocked(query);
-  }
-  return ExecuteOnSnapshot(query, snap);
-}
-
-Result<Answer> Nous::ExecuteOnSnapshot(
-    const Query& query,
-    const std::shared_ptr<const KgSnapshot>& snap) const {
   std::string key;
   if (cache_ != nullptr) {
     key = CanonicalCacheKey(query);
     Answer cached;
     if (cache_->Lookup(key, snap->version(), &cached)) return cached;
   }
-  QueryEngine engine(&snap->graph(), snap->patterns(), options_.query);
+  QueryEngine engine(&snap->graph(), &snap->patterns(), options_.query);
   NOUS_ASSIGN_OR_RETURN(Answer answer, engine.Execute(query));
   if (cache_ != nullptr) cache_->Insert(key, snap->version(), answer);
   return answer;
 }
 
-Result<Answer> Nous::AskUnlocked(const std::string& question) const {
-  QueryEngine engine(&pipeline_.graph(), pipeline_.miner(),
-                     options_.query, pipeline_.miner_graph());
-  return engine.ExecuteText(question);
-}
-
-Result<Answer> Nous::ExecuteUnlocked(const Query& query) const {
-  QueryEngine engine(&pipeline_.graph(), pipeline_.miner(),
-                     options_.query, pipeline_.miner_graph());
-  return engine.Execute(query);
-}
-
 GraphStats Nous::ComputeStats() const {
-  if (auto snap = pipeline_.snapshot()) {
-    return ComputeGraphStats(snap->graph());
-  }
-  ReaderMutexLock lock(kg_mutex());
-  return ComputeGraphStats(graph());
+  return ComputeGraphStats(pipeline_.snapshot()->graph());
 }
 
 void Nous::RegisterResourceProbes(ResourceSampler* sampler) {

@@ -64,11 +64,9 @@ struct NousOptions {
   QueryEngineConfig query;
   /// Crash safety; disabled while `durability.dir` is empty.
   DurabilityOptions durability;
-  /// Versioned LRU cache over executed answers (DESIGN.md §5.11).
-  /// Only effective in snapshot-serving mode
-  /// (pipeline.publish_snapshots): a cached answer is keyed by the
-  /// KG version it was computed at, so every ingest commit
-  /// implicitly invalidates the whole cache.
+  /// Versioned LRU cache over executed answers (DESIGN.md §5.11): a
+  /// cached answer is keyed by the KG version it was computed at, so
+  /// every ingest commit implicitly invalidates the whole cache.
   QueryCacheOptions query_cache;
 };
 
@@ -186,15 +184,13 @@ class Nous {
   }
 
   /// Parses and executes a natural-language-like query (Figure 5).
-  /// In snapshot-serving mode (the default) this runs entirely
-  /// against the latest published KgSnapshot — no lock is taken, so
-  /// a slow query can never stall ingest — consulting the versioned
-  /// query cache first. With publishing disabled it falls back to
-  /// reader-locked execution against the live graph.
+  /// Runs entirely against the latest published KgSnapshot — no lock
+  /// is taken, so a slow query can never stall ingest — consulting
+  /// the versioned query cache first.
   ///
-  /// `snapshot_out`, when non-null, receives the snapshot the answer
-  /// was computed against (null in the locked fallback) so callers
-  /// can serialize the answer against the exact same view.
+  /// `snapshot_out`, when non-null, always receives the snapshot the
+  /// answer was computed against, so callers can serialize the answer
+  /// against the exact same view.
   Result<Answer> Ask(const std::string& question,
                      std::shared_ptr<const KgSnapshot>* snapshot_out =
                          nullptr) EXCLUDES(kg_mutex());
@@ -204,19 +200,9 @@ class Nous {
                          std::shared_ptr<const KgSnapshot>* snapshot_out =
                              nullptr) EXCLUDES(kg_mutex());
 
-  /// Variants for callers that already hold a ReaderMutexLock on
-  /// kg_mutex() — e.g. the HTTP API, which serializes the answer under
-  /// the same lock. Calling Ask()/Execute() while holding the lock
-  /// would self-deadlock against a queued writer; the REQUIRES_SHARED
-  /// annotations make either mistake (no lock, or double lock) a
-  /// compile error under Clang.
-  Result<Answer> AskUnlocked(const std::string& question) const
-      REQUIRES_SHARED(kg_mutex());
-  Result<Answer> ExecuteUnlocked(const Query& query) const
-      REQUIRES_SHARED(kg_mutex());
-
-  /// The pipeline's reader/writer lock, re-exported so lock-aware
-  /// callers (HTTP API) can name one capability for both objects:
+  /// The pipeline's reader/writer lock, re-exported so callers that
+  /// read the live graph (tests, benchmarks) can name one capability
+  /// for both objects:
   /// RETURN_CAPABILITY aliases `nous.kg_mutex()` to the pipeline's
   /// underlying mutex member.
   AnnotatedSharedMutex& kg_mutex() const
@@ -234,16 +220,15 @@ class Nous {
   const PipelineStats& stats() const REQUIRES_SHARED(kg_mutex()) {
     return pipeline_.stats();
   }
-  /// Walks the latest snapshot when one is published; otherwise
-  /// read-locks the pipeline and walks the live graph.
-  GraphStats ComputeStats() const EXCLUDES(kg_mutex());
+  /// Walks the latest snapshot's graph; takes no lock.
+  GraphStats ComputeStats() const;
   KgPipeline& pipeline() { return pipeline_; }
   const StreamingMiner* miner() const REQUIRES_SHARED(kg_mutex()) {
     return pipeline_.miner();
   }
 
-  /// Latest published KG snapshot; null when snapshot serving is off
-  /// (Options::pipeline.publish_snapshots = false).
+  /// Latest published KG snapshot; never null (see
+  /// KgPipeline::snapshot()).
   std::shared_ptr<const KgSnapshot> snapshot() const {
     return pipeline_.snapshot();
   }
@@ -263,10 +248,6 @@ class Nous {
   void RegisterResourceProbes(ResourceSampler* sampler);
 
  private:
-  /// Cache-checked execution against one immutable snapshot.
-  Result<Answer> ExecuteOnSnapshot(
-      const Query& query,
-      const std::shared_ptr<const KgSnapshot>& snap) const;
   /// Durable ingest of one batch: commits it under ingest_mutex_,
   /// then waits — outside the mutex, so concurrent writers share one
   /// fsync — until the batch is durable.

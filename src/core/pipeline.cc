@@ -30,7 +30,6 @@ struct PipelineMetrics {
   Counter* deduped;
   Counter* retractions;
   Gauge* window_edges;
-  LatencyHistogram* extraction_latency;
   LatencyHistogram* linking_latency;
   LatencyHistogram* mapping_latency;
   LatencyHistogram* confidence_latency;
@@ -69,9 +68,6 @@ const PipelineMetrics& Metrics() {
                                  "Edges weakened by negated reports");
     m.window_edges = r.GetGauge("nous_mining_window_edges",
                                 "Live edges in the miner's sliding window");
-    m.extraction_latency = r.GetHistogram(
-        "nous_extraction_latency_seconds",
-        "Latency of the extraction stage in seconds");
     m.linking_latency = r.GetHistogram(
         "nous_linking_latency_seconds",
         "Latency of the linking stage in seconds");
@@ -92,14 +88,11 @@ std::string PipelineStats::ToString() const {
   return StrFormat(
       "docs=%zu extractions=%zu accepted=%zu deduped=%zu "
       "dropped(conf)=%zu dropped(unmapped)=%zu mapped=%zu raw_kept=%zu "
-      "linked=%zu new_entities=%zu ds_alignments=%zu retractions=%zu\n"
-      "stage seconds: extract=%.3f link=%.3f map=%.3f score=%.3f "
-      "mine=%.3f",
+      "linked=%zu new_entities=%zu ds_alignments=%zu retractions=%zu",
       documents, extractions, accepted_triples, deduped_triples,
       dropped_low_confidence, dropped_unmapped, mapped_triples,
       unmapped_kept, linked_to_existing, new_entities, ds_alignments,
-      retractions, extract_seconds, link_seconds, map_seconds,
-      score_seconds, mine_seconds);
+      retractions);
 }
 
 KgPipeline::KgPipeline(const CuratedKb* kb, PipelineConfig config)
@@ -271,23 +264,19 @@ KgPipeline::ExtractedDoc KgPipeline::ExtractDocument(
   // ---- 1. Extraction (OpenIE + SRL dating). ----
   // Reads only the immutable lexicon/NER/SRL models plus thread-safe
   // metrics, so batch ingest runs it from pool threads.
+  // The span feeds nous_extraction_latency_seconds. It runs on pool
+  // threads and parents under the submitting ingest_batch span via the
+  // ThreadPool's TraceContext propagation.
+  NOUS_SPAN("extraction");
   const PipelineMetrics& metrics = Metrics();
-  // Null histogram: the stage observes nous_extraction_latency_seconds
-  // manually below, so the span only feeds the trace buffer. It runs
-  // on pool threads and parents under the submitting ingest_batch span
-  // via the ThreadPool's TraceContext propagation.
-  TraceSpan span("extraction", nullptr);
-  WallTimer timer;
   ExtractedDoc doc;
   doc.frames =
       srl_.Extract(article.text, article.date, &doc.num_sentences);
   if (!doc.frames.empty()) {
     doc.doc_bag = BuildDocumentBag(article.text, lexicon_);
   }
-  doc.extract_seconds = timer.ElapsedSeconds();
   metrics.sentences->Increment(doc.num_sentences);
   metrics.raw_triples->Increment(doc.frames.size());
-  metrics.extraction_latency->Observe(doc.extract_seconds);
   return doc;
 }
 
@@ -299,7 +288,6 @@ void KgPipeline::CommitDocument(const Article& article,
   ++stats_.documents;
   metrics.documents->Increment();
   stats_.extractions += doc.frames.size();
-  stats_.extract_seconds += doc.extract_seconds;
   if (doc.frames.empty()) return;
   const std::vector<SrlFrame>& frames = doc.frames;
   const TermBag& doc_bag = doc.doc_bag;
@@ -338,9 +326,7 @@ void KgPipeline::CommitDocument(const Article& article,
       metrics.linked->Increment();
     }
   }
-  double link_seconds = timer.ElapsedSeconds();
-  stats_.link_seconds += link_seconds;
-  metrics.linking_latency->Observe(link_seconds);
+  metrics.linking_latency->Observe(timer.ElapsedSeconds());
 
   SourceId source_id = graph_.sources().Intern(article.source);
   for (const SrlFrame& frame : frames) {
@@ -400,15 +386,11 @@ void KgPipeline::CommitDocument(const Article& article,
     } else {
       ++stats_.dropped_unmapped;
       metrics.unmapped_dropped->Increment();
-      double map_seconds = timer.ElapsedSeconds();
-      stats_.map_seconds += map_seconds;
-      metrics.mapping_latency->Observe(map_seconds);
+      metrics.mapping_latency->Observe(timer.ElapsedSeconds());
       continue;
     }
     PredicateId p = graph_.predicates().Intern(predicate_name);
-    double map_seconds = timer.ElapsedSeconds();
-    stats_.map_seconds += map_seconds;
-    metrics.mapping_latency->Observe(map_seconds);
+    metrics.mapping_latency->Observe(timer.ElapsedSeconds());
 
     // ---- 4. Confidence via link prediction (§3.4). ----
     timer.Restart();
@@ -425,9 +407,7 @@ void KgPipeline::CommitDocument(const Article& article,
       confidence *= (0.6 + 0.4 * trust_.RelativeTrust(source_id));
     }
     confidence = std::clamp(confidence, 0.0, 1.0);
-    double score_seconds = timer.ElapsedSeconds();
-    stats_.score_seconds += score_seconds;
-    metrics.confidence_latency->Observe(score_seconds);
+    metrics.confidence_latency->Observe(timer.ElapsedSeconds());
     if (confidence < config_.min_accept_confidence) {
       ++stats_.dropped_low_confidence;
       metrics.rejected->Increment();
@@ -474,7 +454,6 @@ void KgPipeline::CommitDocument(const Article& article,
 
     // ---- 6. Stream the fact into the miner's sliding window. ----
     if (config_.enable_mining) {
-      WallTimer mine_timer;
       TimedTriple wt;
       wt.triple.subject = graph_.VertexLabel(s);
       wt.triple.predicate = predicate_name;
@@ -489,7 +468,6 @@ void KgPipeline::CommitDocument(const Article& article,
       window_graph_.SetVertexType(
           wo, window_graph_.types().Intern(VertexTypeName(o)));
       window_->Add(wt);
-      stats_.mine_seconds += mine_timer.ElapsedSeconds();
       metrics.window_edges->Set(static_cast<double>(window_->size()));
     }
   }
@@ -521,7 +499,11 @@ void KgPipeline::IngestText(const std::string& text, const Date& date,
 namespace {
 /// SaveState payload version; bump on any layout change.
 /// v2: adds kg_version_ after the curated-KB fingerprint.
-constexpr uint32_t kStateVersion = 2;
+/// v3: drops the five wall-clock stage-seconds doubles that followed
+/// the stats counters, so the image depends only on the input. v2
+/// images still load (the doubles are read and discarded).
+constexpr uint32_t kStateVersion = 3;
+constexpr uint32_t kStateVersionWithStageSeconds = 2;
 }  // namespace
 
 std::string KgPipeline::SaveState() const {
@@ -561,11 +543,6 @@ std::string KgPipeline::SaveState() const {
   writer.U64(stats_.new_entities);
   writer.U64(stats_.ds_alignments);
   writer.U64(stats_.retractions);
-  writer.F64(stats_.extract_seconds);
-  writer.F64(stats_.link_seconds);
-  writer.F64(stats_.map_seconds);
-  writer.F64(stats_.score_seconds);
-  writer.F64(stats_.mine_seconds);
 
   // Miner window: the streamed (non-curated) triples currently in the
   // window, oldest first, with the fused-KG type names needed to
@@ -611,7 +588,7 @@ Status KgPipeline::LoadStateLocked(std::string_view payload) {
   BinaryReader reader(payload);
   uint32_t version = 0;
   NOUS_RETURN_IF_ERROR(reader.U32(&version));
-  if (version != kStateVersion) {
+  if (version != kStateVersion && version != kStateVersionWithStageSeconds) {
     return Status::DataLoss("pipeline state version " +
                             std::to_string(version) + " unsupported");
   }
@@ -662,11 +639,12 @@ Status KgPipeline::LoadStateLocked(std::string_view payload) {
   stats_.new_entities = counts[9];
   stats_.ds_alignments = counts[10];
   stats_.retractions = counts[11];
-  NOUS_RETURN_IF_ERROR(reader.F64(&stats_.extract_seconds));
-  NOUS_RETURN_IF_ERROR(reader.F64(&stats_.link_seconds));
-  NOUS_RETURN_IF_ERROR(reader.F64(&stats_.map_seconds));
-  NOUS_RETURN_IF_ERROR(reader.F64(&stats_.score_seconds));
-  NOUS_RETURN_IF_ERROR(reader.F64(&stats_.mine_seconds));
+  if (version == kStateVersionWithStageSeconds) {
+    double stage_seconds = 0;
+    for (int i = 0; i < 5; ++i) {
+      NOUS_RETURN_IF_ERROR(reader.F64(&stage_seconds));
+    }
+  }
 
   // The window machinery accretes via listeners, so a load onto a
   // warm pipeline (replication resync) must rebuild it from scratch:
@@ -725,10 +703,8 @@ void KgPipeline::EnsureAdhocCounterAtLeast(size_t value) {
 }
 
 void KgPipeline::RefreshBpr(size_t epochs) {
-  WallTimer timer;
   bpr_.TrainIncremental(accepted_ids_, graph_.NumVertices(),
                         graph_.predicates().size(), epochs);
-  stats_.score_seconds += timer.ElapsedSeconds();
 }
 
 void KgPipeline::Finalize() {
@@ -767,7 +743,6 @@ void KgPipeline::FinalizeLocked() {
 }
 
 void KgPipeline::PublishSnapshot() {
-  if (!config_.publish_snapshots) return;
   NOUS_SPAN_VAR(span, "snapshot_publish");
   uint64_t version = 0;
   PropertyGraph graph;
@@ -789,14 +764,7 @@ void KgPipeline::PublishSnapshot() {
       if (rendered == nullptr || rendered->miner_generation != generation) {
         auto fresh = std::make_shared<RenderedPatternSet>();
         fresh->miner_generation = generation;
-        for (const PatternStats& stats : miner_->ClosedFrequentPatterns()) {
-          RenderedPattern p;
-          p.description = stats.pattern.ToString(window_graph_.predicates(),
-                                                 &window_graph_.types());
-          p.support = stats.support;
-          p.embeddings = stats.embeddings;
-          fresh->patterns.push_back(std::move(p));
-        }
+        fresh->patterns = RenderPatterns(*miner_, window_graph_);
         rendered = std::move(fresh);
         rendered_patterns_.store(rendered, std::memory_order_release);
       }

@@ -87,12 +87,6 @@ struct PipelineConfig {
   /// BprConfig::sgd_block at 0; keeps pipeline results independent of
   /// num_threads.
   size_t bpr_sgd_block = 256;
-  /// Publish an immutable KgSnapshot after every mutating operation
-  /// (ingest call, batch, finalize, state load) so queries serve
-  /// lock-free (DESIGN.md §5.11). Off = the pre-snapshot behavior:
-  /// snapshot() stays null and Nous falls back to reader-locked
-  /// serving (also the benchmark baseline mode).
-  bool publish_snapshots = true;
 };
 
 /// The NOUS knowledge-graph construction pipeline (§3): curated-KB
@@ -106,8 +100,8 @@ struct PipelineConfig {
 /// mutates shared state — linking, mapping, scoring, KG/miner-window
 /// updates, BPR refresh — commits sequentially in arrival order under
 /// the exclusive side of kg_mutex(), so the fused graph is
-/// bit-identical to serial ingest. Readers (query serving, stats) take
-/// the shared side.
+/// bit-identical to serial ingest. Snapshot publish and SaveState take
+/// the shared side; queries read only published snapshots.
 class KgPipeline {
  public:
   /// Copies the curated KB's contents into the KG. `kb` must outlive
@@ -151,8 +145,10 @@ class KgPipeline {
   /// linker alias index, mapper evidence, BPR parameters + RNG state,
   /// source-trust counts, accepted-triple list, refresh cadence,
   /// ad-hoc id counter, stats, and the miner's current window triples.
-  /// Takes the shared lock. The payload feeds the durability
-  /// checkpointer (DESIGN.md §5.10).
+  /// Takes the shared lock. The payload is a pure function of the
+  /// ingested stream (no wall-clock state), so it is byte-identical at
+  /// any thread count. It feeds the durability checkpointer (DESIGN.md
+  /// §5.10).
   std::string SaveState() const EXCLUDES(kg_mutex_);
 
   /// Restores a SaveState payload. Must be called on a freshly
@@ -171,7 +167,7 @@ class KgPipeline {
 
   /// Reader/writer lock over the fused KG, miner state, and models.
   /// Ingest/Finalize acquire it exclusively; concurrent readers
-  /// (query execution, stats, serialization) must hold a
+  /// (snapshot publish, serialization, tests) must hold a
   /// ReaderMutexLock while touching graph()/miner()/stats().
   /// RETURN_CAPABILITY makes `pipeline.kg_mutex()` and the member
   /// `kg_mutex_` the same capability to the thread-safety analysis, so
@@ -226,20 +222,19 @@ class KgPipeline {
     return kg_version_;
   }
 
-  /// Latest published snapshot; null until the first Publish (i.e.
-  /// always null when config().publish_snapshots is false). The
-  /// returned snapshot is immutable and safe to read with no lock.
   /// The snapshot store itself, for publish-count telemetry
   /// (/api/stats, ResourceSampler probes).
   const SnapshotStore& snapshot_store() const { return snapshots_; }
 
+  /// Latest published snapshot; never null (the constructor publishes
+  /// the curated bootstrap). Immutable and safe to read with no lock.
   std::shared_ptr<const KgSnapshot> snapshot() const {
     return snapshots_.Current();
   }
 
   /// Clones the KG under the shared lock and installs the result as
   /// the current snapshot. Called automatically after every mutating
-  /// operation when config().publish_snapshots is on; no-op otherwise.
+  /// operation (ingest call, batch, finalize, state load).
   void PublishSnapshot() EXCLUDES(kg_mutex_);
 
  private:
@@ -250,7 +245,6 @@ class KgPipeline {
     /// Document content-word bag (built only when frames is
     /// non-empty; linking is skipped otherwise).
     TermBag doc_bag;
-    double extract_seconds = 0;
   };
 
   void LoadCuratedKb() REQUIRES(kg_mutex_);

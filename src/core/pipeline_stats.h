@@ -6,7 +6,9 @@
 
 namespace nous {
 
-/// Counters for every stage, reported by bench_pipeline (E8). Lives in
+/// Counters for every stage. Pure functions of the input stream (stage
+/// timing lives in the registry histograms), so they are checkpointed
+/// and the image stays identical at any thread count. Lives in
 /// its own header (not pipeline.h) because published KG snapshots
 /// carry a copy (core/snapshot.h) and the pipeline owns the store —
 /// including pipeline.h from snapshot.h would be circular.
@@ -23,11 +25,6 @@ struct PipelineStats {
   size_t new_entities = 0;
   size_t ds_alignments = 0;
   size_t retractions = 0;
-  double extract_seconds = 0;
-  double link_seconds = 0;
-  double map_seconds = 0;
-  double score_seconds = 0;
-  double mine_seconds = 0;
 
   std::string ToString() const;
 };

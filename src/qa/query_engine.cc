@@ -60,39 +60,24 @@ std::string Answer::Render(const PropertyGraph& graph) const {
   return os.str();
 }
 
-QueryEngine::QueryEngine(const PropertyGraph* graph,
-                         const StreamingMiner* miner,
-                         QueryEngineConfig config,
-                         const PropertyGraph* miner_graph)
-    : graph_(graph), miner_(miner), miner_graph_(miner_graph),
-      config_(config) {
-  if (miner_graph_ == nullptr) miner_graph_ = graph;
-}
-
-QueryEngine::QueryEngine(const PropertyGraph* graph,
-                         const std::vector<RenderedPattern>& patterns,
-                         QueryEngineConfig config)
-    : graph_(graph),
-      miner_(nullptr),
-      miner_graph_(nullptr),
-      prerendered_patterns_(&patterns),
-      config_(config) {}
-
-std::vector<RenderedPattern> QueryEngine::RenderMinerPatterns()
-    const {
-  if (prerendered_patterns_ != nullptr) return *prerendered_patterns_;
+std::vector<RenderedPattern> RenderPatterns(
+    const StreamingMiner& miner, const PropertyGraph& miner_graph) {
   std::vector<RenderedPattern> rendered;
-  if (miner_ == nullptr || miner_graph_ == nullptr) return rendered;
-  for (const PatternStats& stats : miner_->ClosedFrequentPatterns()) {
+  for (const PatternStats& stats : miner.ClosedFrequentPatterns()) {
     RenderedPattern p;
-    p.description = stats.pattern.ToString(miner_graph_->predicates(),
-                                           &miner_graph_->types());
+    p.description = stats.pattern.ToString(miner_graph.predicates(),
+                                           &miner_graph.types());
     p.support = stats.support;
     p.embeddings = stats.embeddings;
     rendered.push_back(std::move(p));
   }
   return rendered;
 }
+
+QueryEngine::QueryEngine(const PropertyGraph* graph,
+                         const std::vector<RenderedPattern>* patterns,
+                         QueryEngineConfig config)
+    : graph_(graph), patterns_(patterns), config_(config) {}
 
 Result<VertexId> QueryEngine::ResolveEntity(
     const std::string& name) const {
@@ -199,7 +184,7 @@ Answer QueryEngine::ExecuteTrending() const {
     if (answer.facts.size() >= config_.trending_limit) break;
     answer.facts.push_back(MakeFactLine(e));
   }
-  answer.patterns = RenderMinerPatterns();
+  if (patterns_ != nullptr) answer.patterns = *patterns_;
   return answer;
 }
 
@@ -258,7 +243,7 @@ Result<Answer> QueryEngine::ExecuteRelationship(
 Answer QueryEngine::ExecutePattern() const {
   Answer answer;
   answer.kind = QueryKind::kPattern;
-  answer.patterns = RenderMinerPatterns();
+  if (patterns_ != nullptr) answer.patterns = *patterns_;
   return answer;
 }
 

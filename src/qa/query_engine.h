@@ -67,25 +67,21 @@ struct QueryEngineConfig {
   bool trending_rising = true;
 };
 
-/// Executes the five query classes against the dynamic KG and the
-/// streaming miner's pattern state. The miner is optional (pattern and
-/// trending-pattern sections are empty without it). `miner_graph` is
-/// the graph the miner watched — its dictionaries resolve pattern ids;
-/// pass null to reuse `graph` (single-graph setups).
+/// Renders the miner's closed frequent patterns against `miner_graph`,
+/// the graph the miner watched (its dictionaries resolve pattern ids).
+/// KgPipeline::PublishSnapshot calls this once per miner generation.
+std::vector<RenderedPattern> RenderPatterns(const StreamingMiner& miner,
+                                            const PropertyGraph& miner_graph);
+
+/// Executes the five query classes against one graph and the miner
+/// patterns rendered for it (in serving, a KgSnapshot's graph and
+/// pattern set). `patterns` may be null: the pattern and
+/// trending-pattern sections are then empty. Both must outlive the
+/// engine.
 class QueryEngine {
  public:
-  QueryEngine(const PropertyGraph* graph, const StreamingMiner* miner,
-              QueryEngineConfig config = {},
-              const PropertyGraph* miner_graph = nullptr);
-
-  /// Snapshot-serving variant: patterns were already rendered at
-  /// snapshot publish time (core/snapshot.h), so no miner or window
-  /// graph is needed — everything the engine reads is immutable.
-  /// Taken by reference (not pointer) so the overload never competes
-  /// with the miner variant at nullptr call sites; `patterns` must
-  /// outlive the engine.
   QueryEngine(const PropertyGraph* graph,
-              const std::vector<RenderedPattern>& patterns,
+              const std::vector<RenderedPattern>* patterns,
               QueryEngineConfig config = {});
 
   Result<Answer> Execute(const Query& query) const;
@@ -102,13 +98,9 @@ class QueryEngine {
 
   Result<VertexId> ResolveEntity(const std::string& name) const;
   FactLine MakeFactLine(EdgeId edge) const;
-  std::vector<RenderedPattern> RenderMinerPatterns() const;
 
   const PropertyGraph* graph_;
-  const StreamingMiner* miner_;       // may be null
-  const PropertyGraph* miner_graph_;  // dictionary source for patterns
-  /// Pre-rendered patterns (snapshot mode); exclusive with miner_.
-  const std::vector<RenderedPattern>* prerendered_patterns_ = nullptr;
+  const std::vector<RenderedPattern>* patterns_;  // may be null
   QueryEngineConfig config_;
 };
 

@@ -3,7 +3,6 @@
 #include <cstdlib>
 
 #include "common/string_util.h"
-#include "common/thread_annotations.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "obs/trace_buffer.h"
@@ -135,35 +134,16 @@ HttpResponse NousApi::HandleQuery(const HttpRequest& request) {
         answer.status().ToString());
   }
   HttpResponse response;
-  if (snap != nullptr) {
-    response.body = AnswerJson(*answer, snap->graph());
-  } else {
-    // Locked fallback (snapshot publishing disabled): one shared-lock
-    // span must cover the serialization too.
-    ReaderMutexLock lock(nous_->kg_mutex());
-    response.body = AnswerJson(*answer, nous_->graph());
-  }
+  response.body = AnswerJson(*answer, snap->graph());
   return response;
 }
 
 HttpResponse NousApi::HandleStats() {
   NOUS_SPAN("api_stats");
-  // Snapshot path: walk the latest published view, no lock. Locked
-  // fallback only when snapshot publishing is disabled.
-  GraphStats stats;
-  PipelineStats ps;
-  uint64_t kg_version = 0;
+  // Walk the latest published view, no lock.
   std::shared_ptr<const KgSnapshot> snap = nous_->snapshot();
-  if (snap != nullptr) {
-    stats = ComputeGraphStats(snap->graph());
-    ps = snap->stats();
-    kg_version = snap->version();
-  } else {
-    ReaderMutexLock lock(nous_->kg_mutex());
-    stats = ComputeGraphStats(nous_->graph());
-    ps = nous_->stats();
-    kg_version = nous_->kg_version();
-  }
+  GraphStats stats = ComputeGraphStats(snap->graph());
+  const PipelineStats& ps = snap->stats();
   JsonWriter w;
   w.BeginObject();
   w.Key("vertices");
@@ -186,17 +166,15 @@ HttpResponse NousApi::HandleStats() {
   w.Number(stats.extracted_confidence.Mean());
   // Serving-tier basics, so operators need not scrape /api/metrics.
   w.Key("kg_version");
-  w.Int(static_cast<long long>(kg_version));
+  w.Int(static_cast<long long>(snap->version()));
   w.Key("snapshot_publishes");
   w.Int(static_cast<long long>(
       nous_->pipeline().snapshot_store().publish_count()));
   w.Key("snapshot_graph_bytes");
-  w.Int(static_cast<long long>(snap != nullptr ? snap->approx_graph_bytes()
-                                               : 0));
+  w.Int(static_cast<long long>(snap->approx_graph_bytes()));
   // Live COW split: how much of the snapshot is shared with the live
   // graph vs retained privately (amplification = private / total).
-  CowFootprint snap_fp;
-  if (snap != nullptr) snap_fp = snap->graph().Footprint();
+  CowFootprint snap_fp = snap->graph().Footprint();
   w.Key("snapshot_graph_shared_bytes");
   w.Int(static_cast<long long>(snap_fp.shared_bytes));
   w.Key("snapshot_graph_private_bytes");
@@ -337,18 +315,8 @@ HttpResponse NousApi::HandleIngest(const HttpRequest& request) {
       it != request.params.end() && !it->second.empty()) {
     source = it->second;
   }
-  auto read_counts = [this](size_t* accepted, size_t* edges) {
-    if (auto snap = nous_->snapshot()) {
-      *accepted = snap->stats().accepted_triples;
-      *edges = snap->graph().NumEdges();
-      return;
-    }
-    ReaderMutexLock lock(nous_->kg_mutex());
-    *accepted = nous_->stats().accepted_triples;
-    *edges = nous_->graph().NumEdges();
-  };
-  size_t accepted_before = 0, edges_before = 0;
-  read_counts(&accepted_before, &edges_before);
+  const size_t accepted_before =
+      nous_->snapshot()->stats().accepted_triples;
   Status status = nous_->IngestText(request.body, date, source);
   if (!status.ok()) {
     // Durable logging failed: nothing was committed, so the honest
@@ -357,14 +325,14 @@ HttpResponse NousApi::HandleIngest(const HttpRequest& request) {
   }
   // The ingest call published its snapshot before returning
   // (read-your-writes), so the counts below include this document.
-  size_t accepted_after = 0, edges_after = 0;
-  read_counts(&accepted_after, &edges_after);
+  std::shared_ptr<const KgSnapshot> after = nous_->snapshot();
   JsonWriter w;
   w.BeginObject();
   w.Key("accepted");
-  w.Int(static_cast<long long>(accepted_after - accepted_before));
+  w.Int(static_cast<long long>(after->stats().accepted_triples -
+                               accepted_before));
   w.Key("total_edges");
-  w.Int(static_cast<long long>(edges_after));
+  w.Int(static_cast<long long>(after->graph().NumEdges()));
   w.EndObject();
   HttpResponse response;
   response.body = w.Result();
@@ -510,17 +478,10 @@ HttpResponse NousApi::Handle(const HttpRequest& request) {
   // The KG version this process would serve right now. Combined with
   // X-Nous-Kg-Version from the leader, clients can bound the staleness
   // of any replica read without a second round trip.
-  uint64_t kg_version = 0;
-  if (std::shared_ptr<const KgSnapshot> snap = nous_->snapshot();
-      snap != nullptr) {
-    kg_version = snap->version();
-  } else {
-    ReaderMutexLock lock(nous_->kg_mutex());
-    kg_version = nous_->kg_version();
-  }
   response.headers.emplace_back(
       "X-Nous-Kg-Version",
-      StrFormat("%llu", static_cast<unsigned long long>(kg_version)));
+      StrFormat("%llu", static_cast<unsigned long long>(
+                            nous_->snapshot()->version())));
   // Label by status code only: paths are client-controlled and would
   // make the label set unbounded.
   MetricsRegistry::Global()

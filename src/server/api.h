@@ -4,7 +4,6 @@
 #include <atomic>
 #include <string>
 
-#include "common/thread_annotations.h"
 #include "core/nous.h"
 #include "replication/telemetry.h"
 #include "server/http_server.h"
@@ -41,9 +40,8 @@ namespace nous {
 ///
 /// Handle() is thread-safe: read endpoints (query, stats) execute and
 /// serialize against one immutable KgSnapshot (DESIGN.md §5.11) and
-/// never touch kg_mutex — queries cannot stall ingest commits. With
-/// snapshot publishing disabled they fall back to holding the
-/// pipeline's shared lock for the read-and-serialize span. Ingest
+/// never touch kg_mutex — queries cannot stall ingest commits
+/// (nous_lint R13 keeps the pipeline lock out of src/server/). Ingest
 /// takes the exclusive side internally.
 class NousApi {
  public:
@@ -80,9 +78,8 @@ class NousApi {
                             bool read_only);
 
   /// JSON for one executed answer (exposed for tests). `graph` must
-  /// be the view the answer was computed against — a snapshot's graph
-  /// (no locking needed; it is immutable), or the live graph under a
-  /// ReaderMutexLock.
+  /// be the view the answer was computed against — the snapshot graph
+  /// Nous::Ask reported (immutable, so no locking is needed).
   static std::string AnswerJson(const Answer& answer,
                                 const PropertyGraph& graph);
 

@@ -1002,6 +1002,103 @@ TEST_F(DurabilityPipelineFixture, KgVersionSurvivesCrashRecovery) {
   }
 }
 
+/// Offset of the first byte where `a` and `b` differ (npos when equal),
+/// so an image mismatch reports a position instead of dumping bytes.
+size_t FirstMismatch(const std::string& a, const std::string& b) {
+  if (a == b) return std::string::npos;
+  auto diff = std::mismatch(a.begin(), a.end(), b.begin(), b.end());
+  return static_cast<size_t>(diff.first - a.begin());
+}
+
+// The checkpoint image is a pure function of the ingested stream: it
+// holds no wall-clock state, so the same articles give the same bytes
+// at any thread count, and a recovered instance re-saves exactly the
+// image that was written.
+TEST_F(DurabilityPipelineFixture,
+       SaveStateIsByteIdenticalAcrossThreadCountsAndRecovery) {
+  std::string dir = FreshDir("nous_pure_image");
+  auto articles = MakeArticles();
+  auto batches = MakeBatches(articles, 4);
+  ASSERT_EQ(batches.size(), 4u);
+
+  Nous::Options serial_options = DurableOptions(dir);
+  serial_options.pipeline.num_threads = 1;
+  Nous::Options parallel_options = FastOptions();
+  parallel_options.pipeline.num_threads = 8;
+  std::string image;
+  {
+    Nous serial(&kb_, serial_options);
+    ASSERT_TRUE(serial.EnableDurability().ok());
+    Nous parallel(&kb_, parallel_options);
+    for (const auto& batch : batches) {
+      ASSERT_TRUE(serial.IngestBatch(batch).ok());
+      ASSERT_TRUE(parallel.IngestBatch(batch).ok());
+    }
+    // In durable mode Finalize also writes the checkpoint.
+    serial.Finalize();
+    parallel.Finalize();
+    image = serial.pipeline().SaveState();
+    EXPECT_EQ(FirstMismatch(image, parallel.pipeline().SaveState()),
+              std::string::npos);
+  }
+
+  Nous recovered(&kb_, serial_options);
+  auto stats = recovered.Recover();
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_TRUE(stats->restored_checkpoint);
+  EXPECT_EQ(stats->replayed_batches, 0u);
+  EXPECT_EQ(FirstMismatch(recovered.pipeline().SaveState(), image),
+            std::string::npos);
+}
+
+// Checkpoints written before the stage-seconds doubles were dropped
+// (state version 2) still load, and re-save as the version-3 image.
+TEST_F(DurabilityPipelineFixture, LoadStateAcceptsVersion2Images) {
+  PipelineConfig config = FastOptions().pipeline;
+  // Mining off: the image then ends in a single U64(0) window count,
+  // and v2 kept its five stage-seconds doubles right before it.
+  config.enable_mining = false;
+  auto articles = MakeArticles();
+  KgPipeline original(&kb_, config);
+  original.IngestBatch(articles.data(), std::min<size_t>(6, articles.size()));
+  const std::string v3 = original.SaveState();
+  ASSERT_GT(v3.size(), 12u);
+  uint32_t version = 0;
+  std::memcpy(&version, v3.data(), sizeof(version));
+  ASSERT_EQ(version, 3u);
+  ASSERT_EQ(v3.substr(v3.size() - 8), std::string(8, '\0'));
+
+  BinaryWriter version2;
+  version2.U32(2);
+  BinaryWriter stage_seconds;
+  for (double seconds : {0.5, 1.25, 0.125, 2.0, 3.5}) {
+    stage_seconds.F64(seconds);
+  }
+  std::string v2 = v3;
+  v2.replace(0, 4, version2.data());
+  v2.insert(v2.size() - 8, stage_seconds.data());
+
+  KgPipeline restored(&kb_, config);
+  Status load = restored.LoadState(v2);
+  ASSERT_TRUE(load.ok()) << load;
+  EXPECT_EQ(FirstMismatch(restored.SaveState(), v3), std::string::npos);
+
+  // A v2 image cut inside the stage-seconds block is still rejected.
+  KgPipeline truncated(&kb_, config);
+  EXPECT_FALSE(
+      truncated.LoadState(std::string_view(v2).substr(0, v2.size() - 28))
+          .ok());
+  // So is a version this build does not know.
+  BinaryWriter version4;
+  version4.U32(4);
+  std::string v4 = v3;
+  v4.replace(0, 4, version4.data());
+  KgPipeline future(&kb_, config);
+  Status future_load = future.LoadState(v4);
+  ASSERT_FALSE(future_load.ok());
+  EXPECT_EQ(future_load.code(), StatusCode::kDataLoss);
+}
+
 // ---------------------------------------------------------------------------
 // Group commit under FsyncPolicy::kAlways
 

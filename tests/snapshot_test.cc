@@ -1,6 +1,6 @@
 // Snapshot-isolated query serving (DESIGN.md §5.11): publish-on-commit
-// KgSnapshots, the monotonic KG version, the versioned LRU query
-// cache, and the locked fallback. The concurrency case at the bottom
+// KgSnapshots, the monotonic KG version, and the versioned LRU query
+// cache. The concurrency case at the bottom
 // is the TSan target for "queries never hold kg_mutex": readers and a
 // writer run together and every answer must be consistent with the
 // exact snapshot it was served from.
@@ -111,52 +111,37 @@ TEST_F(SnapshotTest, SnapshotsAreIsolatedFromLaterIngest) {
 }
 
 TEST_F(SnapshotTest, SnapshotAnswersMatchLockedAnswers) {
-  // Same corpus through a snapshot-serving instance (cache off, so
-  // every ask re-executes) and a locked-fallback instance: the five
-  // query classes must render identically.
-  Nous::Options snapshot_options;
-  snapshot_options.query_cache.enabled = false;
-  Nous snapshot_nous(&kb_, snapshot_options);
-  Nous::Options locked_options;
-  locked_options.pipeline.publish_snapshots = false;
-  Nous locked_nous(&kb_, locked_options);
-  for (const Article& a : articles_) {
-    NOUS_CHECK_OK(snapshot_nous.Ingest(a));
-    NOUS_CHECK_OK(locked_nous.Ingest(a));
-  }
-  std::shared_ptr<const KgSnapshot> snap = snapshot_nous.snapshot();
-  ASSERT_NE(snap, nullptr);
-  EXPECT_EQ(locked_nous.snapshot(), nullptr);
+  // Snapshot answers (cache off, so every ask re-executes) must render
+  // identically to a reference engine run under the reader lock over
+  // the live graph, with patterns rendered fresh from the live miner.
+  // That covers both the COW clone and the pattern render cache.
+  Nous::Options options;
+  options.query_cache.enabled = false;
+  Nous nous(&kb_, options);
+  for (const Article& a : articles_) NOUS_CHECK_OK(nous.Ingest(a));
+  std::shared_ptr<const KgSnapshot> snap = nous.snapshot();
   std::string entity = BusyEntity(*snap);
   std::vector<std::string> questions = {"tell me about " + entity,
                                         "what is trending",
                                         "show patterns"};
   for (const std::string& question : questions) {
     std::shared_ptr<const KgSnapshot> out;
-    auto from_snapshot = snapshot_nous.Ask(question, &out);
-    auto from_locked = locked_nous.Ask(question, &out);
-    ASSERT_EQ(from_snapshot.ok(), from_locked.ok()) << question;
+    auto from_snapshot = nous.Ask(question, &out);
+    ASSERT_EQ(out, snap) << question;
+    const KgPipeline& pipeline = nous.pipeline();
+    ReaderMutexLock lock(pipeline.kg_mutex());
+    ASSERT_NE(pipeline.miner(), nullptr);
+    std::vector<RenderedPattern> live_patterns =
+        RenderPatterns(*pipeline.miner(), *pipeline.miner_graph());
+    EXPECT_FALSE(live_patterns.empty());
+    QueryEngine reference(&pipeline.graph(), &live_patterns);
+    auto expected = reference.ExecuteText(question);
+    ASSERT_EQ(from_snapshot.ok(), expected.ok()) << question;
     if (!from_snapshot.ok()) continue;
     EXPECT_EQ(from_snapshot->Render(snap->graph()),
-              [&] {
-                ReaderMutexLock lock(locked_nous.kg_mutex());
-                return from_locked->Render(locked_nous.graph());
-              }())
+              expected->Render(pipeline.graph()))
         << question;
   }
-}
-
-TEST_F(SnapshotTest, LockedFallbackReportsNullSnapshot) {
-  Nous::Options options;
-  options.pipeline.publish_snapshots = false;
-  Nous nous(&kb_, options);
-  for (size_t i = 0; i < 8; ++i) NOUS_CHECK_OK(nous.Ingest(articles_[i]));
-  // Non-null sentinel (an empty snapshot) so the nulling is observable.
-  std::shared_ptr<const KgSnapshot> out = std::make_shared<const KgSnapshot>(
-      0, PropertyGraph{}, nullptr, PipelineStats{});
-  auto answer = nous.Ask("what is trending", &out);
-  ASSERT_TRUE(answer.ok());
-  EXPECT_EQ(out, nullptr);
 }
 
 TEST_F(SnapshotTest, CacheHitsOnRepeatAndCountsStats) {
@@ -165,13 +150,18 @@ TEST_F(SnapshotTest, CacheHitsOnRepeatAndCountsStats) {
   ASSERT_NE(nous.query_cache(), nullptr);
   std::string question =
       "tell me about " + BusyEntity(*nous.snapshot());
-  auto first = nous.Ask(question);
+  // snapshot_out is set on every path, the cache miss and the hit.
+  std::shared_ptr<const KgSnapshot> out;
+  auto first = nous.Ask(question, &out);
   ASSERT_TRUE(first.ok());
+  EXPECT_EQ(out, nous.snapshot());
   QueryCache::Stats after_first = nous.query_cache()->stats();
   EXPECT_EQ(after_first.hits, 0u);
   EXPECT_EQ(after_first.misses, 1u);
-  auto second = nous.Ask(question);
+  out.reset();
+  auto second = nous.Ask(question, &out);
   ASSERT_TRUE(second.ok());
+  EXPECT_EQ(out, nous.snapshot());
   QueryCache::Stats after_second = nous.query_cache()->stats();
   EXPECT_EQ(after_second.hits, 1u);
   EXPECT_EQ(after_second.misses, 1u);
@@ -400,7 +390,7 @@ TEST_F(SnapshotTest, ConcurrentQueriesAreConsistentWithTheirSnapshot) {
           ++failures;
           continue;
         }
-        QueryEngine engine(&snap->graph(), snap->patterns(),
+        QueryEngine engine(&snap->graph(), &snap->patterns(),
                            QueryEngineConfig{});
         auto recomputed = engine.Execute(*parsed);
         if (!recomputed.ok() ||

@@ -75,6 +75,13 @@ hygiene contracts (DESIGN.md "Static analysis & locking contracts"):
                       can break that, and recovery or a replica then
                       diverges silently. Suppress with
                       `// lint: graph-mutation-ok(reason)`.
+  R13 server-no-kg-lock
+                      No ReaderMutexLock and no kg_mutex() call under
+                      src/server/: every handler serves from the one
+                      immutable KgSnapshot (Nous::snapshot(), never
+                      null), so a slow request can never hold the
+                      pipeline lock against ingest. There is no
+                      suppression; read the snapshot instead.
 
 Suppression comments must name a reason; empty parentheses do not
 count. Exit status is the number of violations (capped at 125).
@@ -142,6 +149,9 @@ GRAPH_MUTATOR_RE = re.compile(
     r"RebuildDerivedIndexes)\s*\(")
 # The commit path: the graph layer and the sequential planner.
 GRAPH_MUTATION_ALLOWED = ("/src/graph/", "/src/core/pipeline.cc")
+
+# R13: pipeline-lock tokens the serving tier must not use.
+SERVER_KG_LOCK_RE = re.compile(r"\bReaderMutexLock\b|\bkg_mutex\s*\(")
 
 
 def strip_comments_and_strings(text):
@@ -258,9 +268,10 @@ class Linter:
         if path.endswith(".h"):
             self.check_locked_suffix(path, code_lines)
             self.check_include_guard(path, code_lines)
-        if "/src/server/" in path.replace(os.sep, "/") and \
-                not path.endswith(".h"):
-            self.check_handler_spans(path, raw_lines, code_lines)
+        if "/src/server/" in path.replace(os.sep, "/"):
+            self.check_server_kg_lock(path, code_lines)
+            if not path.endswith(".h"):
+                self.check_handler_spans(path, raw_lines, code_lines)
 
     # R1 + R2
     def check_mutex_members(self, path, raw_lines, code_lines, in_common):
@@ -402,6 +413,15 @@ class Linter:
                     "src/core/pipeline.cc); route it through the "
                     "pipeline so WAL replay stays bit-identical — or "
                     "add `// lint: graph-mutation-ok(reason)`")
+
+    # R13
+    def check_server_kg_lock(self, path, code_lines):
+        for lineno, line in enumerate(code_lines, 1):
+            if SERVER_KG_LOCK_RE.search(line):
+                self.report(
+                    path, lineno, "server-no-kg-lock",
+                    "pipeline lock in src/server/; serve from "
+                    "Nous::snapshot() (immutable, never null) instead")
 
     # R8
     def check_handler_spans(self, path, raw_lines, code_lines):
