@@ -8,11 +8,19 @@
 // the baselines remine the current window graph from scratch. We
 // report per-slide latency and the cumulative speedup, sweeping window
 // size. Result sets are cross-checked for equality at each checkpoint.
+//
+//   bench_stream_mining [--small] [google-benchmark flags]
+//
+// --small runs the window sweep at 1000 edges only: no minsup or
+// pattern-size sweeps and no google-benchmark run (the CI equality
+// gate).
 
 #include <benchmark/benchmark.h>
 
 #include <iostream>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/table_printer.h"
@@ -46,7 +54,7 @@ std::map<std::string, size_t> ResultKey(
   return key;
 }
 
-void RunWindowSweep() {
+void RunWindowSweep(bool small) {
   bench::PrintHeader(
       "E4: streaming frequent graph mining",
       "§3.5 (speedup vs Arabesque-style re-enumeration)",
@@ -55,7 +63,9 @@ void RunWindowSweep() {
                       "arabesque ms/slide", "gspan ms/slide",
                       "speedup vs arabesque", "speedup vs gspan",
                       "frequent", "results match"});
-  for (size_t window_size : {1000ul, 2000ul, 4000ul, 8000ul}) {
+  std::vector<size_t> windows = {1000};
+  if (!small) windows.insert(windows.end(), {2000, 4000, 8000});
+  for (size_t window_size : windows) {
     MinerConfig config;
     config.max_edges = 2;
     config.min_support = 8;
@@ -235,7 +245,12 @@ BENCHMARK(BM_StreamingMinerAddEdge)->Arg(1000)->Arg(4000);
 }  // namespace nous
 
 int main(int argc, char** argv) {
-  nous::RunWindowSweep();
+  bool small = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) == "--small") small = true;
+  }
+  nous::RunWindowSweep(small);
+  if (small) return 0;
   nous::RunMinsupSweep();
   nous::RunPatternSizeSweep();
   benchmark::Initialize(&argc, argv);

@@ -10,12 +10,13 @@ std::vector<PatternStats> MineArabesqueSim(const PropertyGraph& graph,
                                            const MinerConfig& config,
                                            size_t* total_embeddings) {
   SupportCounter counter(&graph, config.use_vertex_types);
+  SubsetEnumerator enumerator;
+  const SubsetEnumerator::Callback add =
+      [&counter](const std::vector<EdgeId>& subset) {
+        counter.AddEmbedding(subset);
+      };
   graph.ForEachEdge([&](EdgeId anchor, const EdgeRecord&) {
-    EnumerateConnectedSubsets(
-        graph, anchor, config, /*older_only=*/true,
-        [&counter](const std::vector<EdgeId>& subset) {
-          counter.AddEmbedding(subset);
-        });
+    enumerator.Enumerate(graph, anchor, config, /*older_only=*/true, add);
   });
   if (total_embeddings != nullptr) {
     *total_embeddings = counter.total_embeddings();
@@ -42,12 +43,14 @@ std::vector<PatternStats> MineArabesqueSimParallel(
   for (size_t s = 0; s < shards; ++s) {
     pool->Submit([s, shards, &anchors, &graph, &config, &counters] {
       SupportCounter* counter = counters[s].get();
+      SubsetEnumerator enumerator;
+      const SubsetEnumerator::Callback add =
+          [counter](const std::vector<EdgeId>& subset) {
+            counter->AddEmbedding(subset);
+          };
       for (size_t i = s; i < anchors.size(); i += shards) {
-        EnumerateConnectedSubsets(
-            graph, anchors[i], config, /*older_only=*/true,
-            [counter](const std::vector<EdgeId>& subset) {
-              counter->AddEmbedding(subset);
-            });
+        enumerator.Enumerate(graph, anchors[i], config, /*older_only=*/true,
+                             add);
       }
     });
   }

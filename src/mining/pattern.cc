@@ -1,7 +1,6 @@
 #include "mining/pattern.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -11,78 +10,144 @@ namespace nous {
 
 namespace {
 
-/// Comparable canonical code: edge triples then vertex labels.
-struct Code {
-  std::vector<PatternEdge> edges;
-  std::vector<TypeId> labels;
-  std::vector<uint64_t> mapping;  // variable -> concrete vertex
-
-  bool LessThan(const Code& other) const {
-    for (size_t i = 0; i < edges.size() && i < other.edges.size(); ++i) {
-      const PatternEdge& a = edges[i];
-      const PatternEdge& b = other.edges[i];
-      if (a.src != b.src) return a.src < b.src;
-      if (a.pred != b.pred) return a.pred < b.pred;
-      if (a.dst != b.dst) return a.dst < b.dst;
-    }
-    if (edges.size() != other.edges.size()) {
-      return edges.size() < other.edges.size();
-    }
-    return labels < other.labels;
+/// Pattern::Hash's formula, shared with PatternCode::Hash.
+size_t HashCode(const PatternEdge* edges, size_t num_edges,
+                const TypeId* labels, size_t num_vertices) {
+  size_t h = 0x9e3779b97f4a7c15ULL;
+  for (size_t i = 0; i < num_edges; ++i) {
+    h = HashCombine(h, static_cast<size_t>(edges[i].src));
+    h = HashCombine(h, static_cast<size_t>(edges[i].pred));
+    h = HashCombine(h, static_cast<size_t>(edges[i].dst));
   }
-};
+  for (size_t v = 0; v < num_vertices; ++v) h = HashCombine(h, labels[v]);
+  return h;
+}
 
-Code BuildCode(const std::vector<Pattern::ConcreteEdge>& edges,
-               const std::vector<size_t>& order,
-               const std::function<TypeId(uint64_t)>& vertex_label) {
-  Code code;
-  std::map<uint64_t, int> var_of;
-  auto var = [&](uint64_t v) {
-    auto it = var_of.find(v);
-    if (it != var_of.end()) return it->second;
-    int id = static_cast<int>(var_of.size());
-    var_of.emplace(v, id);
-    code.mapping.push_back(v);
-    code.labels.push_back(vertex_label(v));
-    return id;
-  };
-  for (size_t idx : order) {
-    const Pattern::ConcreteEdge& e = edges[idx];
-    int s = var(e.src);
-    int d = var(e.dst);
-    code.edges.push_back(PatternEdge{s, e.pred, d});
+/// Code order: edge triples lexicographically, then vertex labels.
+/// Callers compare codes of one edge set, so sizes agree.
+bool CodeLess(const PatternCode& a, const PatternCode& b) {
+  for (size_t i = 0; i < a.num_edges; ++i) {
+    const PatternEdge& x = a.edges[i];
+    const PatternEdge& y = b.edges[i];
+    if (x.src != y.src) return x.src < y.src;
+    if (x.pred != y.pred) return x.pred < y.pred;
+    if (x.dst != y.dst) return x.dst < y.dst;
   }
-  return code;
+  return std::lexicographical_compare(a.labels, a.labels + a.num_vertices,
+                                      b.labels, b.labels + b.num_vertices);
 }
 
 }  // namespace
+
+size_t PatternCode::Hash() const {
+  return HashCode(edges, num_edges, labels, num_vertices);
+}
+
+bool operator==(const PatternCode& a, const PatternCode& b) {
+  return a.num_edges == b.num_edges && a.num_vertices == b.num_vertices &&
+         std::equal(a.edges, a.edges + a.num_edges, b.edges) &&
+         std::equal(a.labels, a.labels + a.num_vertices, b.labels);
+}
+
+void EdgeSetCanonicalizer::Add(uint64_t src, PredicateId pred,
+                               uint64_t dst) {
+  NOUS_CHECK(num_edges_ < kMaxPatternEdges);
+  auto local = [this](uint64_t v) -> uint8_t {
+    for (uint8_t i = 0; i < num_vertices_; ++i) {
+      if (vertices_[i] == v) return i;
+    }
+    vertices_[num_vertices_] = v;
+    labels_[num_vertices_] = kInvalidType;
+    return num_vertices_++;
+  };
+  src_[num_edges_] = local(src);
+  dst_[num_edges_] = local(dst);
+  pred_[num_edges_] = pred;
+  ++num_edges_;
+}
+
+PatternCode EdgeSetCanonicalizer::Canonicalize(
+    uint8_t* position_to_local) const {
+  NOUS_CHECK(num_edges_ > 0);
+  uint8_t order[kMaxPatternEdges];
+  for (uint8_t i = 0; i < num_edges_; ++i) order[i] = i;
+  PatternCode best;
+  uint8_t best_local[kMaxPatternVertices] = {};
+  bool have_best = false;
+  do {
+    PatternCode code;
+    code.num_edges = num_edges_;
+    uint8_t local_of[kMaxPatternVertices];  // position -> local vertex
+    int8_t var_of[kMaxPatternVertices];     // local vertex -> position
+    std::fill(var_of, var_of + num_vertices_, -1);
+    auto var = [&](uint8_t local) -> int {
+      if (var_of[local] < 0) {
+        var_of[local] = static_cast<int8_t>(code.num_vertices);
+        local_of[code.num_vertices++] = local;
+      }
+      return var_of[local];
+    };
+    for (size_t i = 0; i < num_edges_; ++i) {
+      const uint8_t e = order[i];
+      const int s = var(src_[e]);
+      const int d = var(dst_[e]);
+      code.edges[i] = PatternEdge{s, pred_[e], d};
+    }
+    for (size_t v = 0; v < code.num_vertices; ++v) {
+      code.labels[v] = labels_[local_of[v]];
+    }
+    if (!have_best || CodeLess(code, best)) {
+      best = code;
+      std::copy(local_of, local_of + code.num_vertices, best_local);
+      have_best = true;
+    }
+  } while (std::next_permutation(order, order + num_edges_));
+  if (position_to_local != nullptr) {
+    std::copy(best_local, best_local + best.num_vertices, position_to_local);
+  }
+  return best;
+}
+
+Pattern::Pattern(const PatternCode& code)
+    : edges_(code.edges, code.edges + code.num_edges),
+      vertex_labels_(code.labels, code.labels + code.num_vertices) {}
+
+PatternCode Pattern::Code() const {
+  NOUS_CHECK(edges_.size() <= kMaxPatternEdges &&
+             vertex_labels_.size() <= kMaxPatternVertices);
+  PatternCode code;
+  code.num_edges = static_cast<uint8_t>(edges_.size());
+  code.num_vertices = static_cast<uint8_t>(vertex_labels_.size());
+  std::copy(edges_.begin(), edges_.end(), code.edges);
+  std::copy(vertex_labels_.begin(), vertex_labels_.end(), code.labels);
+  return code;
+}
 
 Pattern Pattern::Canonicalize(
     const std::vector<ConcreteEdge>& edges,
     const std::function<TypeId(uint64_t)>& vertex_label,
     std::vector<uint64_t>* position_to_vertex) {
   NOUS_CHECK(!edges.empty());
-  std::vector<size_t> order(edges.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  Code best = BuildCode(edges, order, vertex_label);
-  while (std::next_permutation(order.begin(), order.end())) {
-    Code candidate = BuildCode(edges, order, vertex_label);
-    if (candidate.LessThan(best)) best = std::move(candidate);
+  EdgeSetCanonicalizer set;
+  for (const ConcreteEdge& e : edges) set.Add(e.src, e.pred, e.dst);
+  for (size_t v = 0; v < set.num_vertices(); ++v) {
+    set.set_label(v, vertex_label(set.vertex(v)));
   }
-  Pattern p;
-  p.edges_ = std::move(best.edges);
-  p.vertex_labels_ = std::move(best.labels);
+  uint8_t local[kMaxPatternVertices];
+  PatternCode code = set.Canonicalize(local);
   if (position_to_vertex != nullptr) {
-    *position_to_vertex = std::move(best.mapping);
+    position_to_vertex->clear();
+    for (size_t pos = 0; pos < code.num_vertices; ++pos) {
+      position_to_vertex->push_back(set.vertex(local[pos]));
+    }
   }
-  return p;
+  return Pattern(code);
 }
 
 bool Pattern::Contains(const Pattern& sub) const {
   if (sub.num_edges() > num_edges()) return false;
   // Try every injective assignment of sub edges onto our edges with a
   // consistent variable mapping. Pattern sizes are tiny.
-  std::vector<size_t> chosen;
   std::vector<bool> used(edges_.size(), false);
   std::vector<int> var_map(sub.num_vertices(), -1);
 
@@ -117,7 +182,6 @@ bool Pattern::Contains(const Pattern& sub) const {
     }
     return false;
   };
-  (void)chosen;
   return match(0);
 }
 
@@ -187,14 +251,8 @@ std::string Pattern::ToString(const Dictionary& predicates,
 }
 
 size_t Pattern::Hash() const {
-  size_t h = 0x9e3779b97f4a7c15ULL;
-  for (const PatternEdge& e : edges_) {
-    h = HashCombine(h, static_cast<size_t>(e.src));
-    h = HashCombine(h, static_cast<size_t>(e.pred));
-    h = HashCombine(h, static_cast<size_t>(e.dst));
-  }
-  for (TypeId t : vertex_labels_) h = HashCombine(h, t);
-  return h;
+  return HashCode(edges_.data(), edges_.size(), vertex_labels_.data(),
+                  vertex_labels_.size());
 }
 
 }  // namespace nous

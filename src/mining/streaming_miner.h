@@ -19,7 +19,8 @@ namespace nous {
 ///   (the new edge always has the maximum id, so each subset is
 ///   discovered exactly once) — no global re-enumeration.
 /// - On expiry, a per-edge inverted index removes exactly the dead
-///   embeddings and decrements their pattern counts.
+///   embeddings and decrements their pattern counts; each removal is
+///   O(pattern size), independent of how many embeddings share an edge.
 /// - Sub-pattern counts are maintained alongside their super-patterns,
 ///   so when a pattern decays below the support threshold its smaller
 ///   frequent structure is immediately reportable — the paper's
@@ -37,6 +38,7 @@ namespace nous {
 /// thread.
 class StreamingMiner : public WindowListener {
  public:
+  /// `config.max_edges` must not exceed kMaxPatternEdges (checked).
   explicit StreamingMiner(MinerConfig config);
 
   // WindowListener:
@@ -76,28 +78,69 @@ class StreamingMiner : public WindowListener {
  private:
   struct PatternEntry {
     Pattern pattern;
-    std::vector<std::unordered_map<VertexId, uint32_t>> position_counts;
+    /// Distinct graph vertices seen at each canonical position; MNI
+    /// support is their minimum.
+    std::vector<uint32_t> distinct;
     size_t embeddings = 0;
   };
 
-  struct Embedding {
-    uint32_t pattern_id = 0;
-    std::vector<EdgeId> edges;
-    std::vector<VertexId> assignment;
-    bool alive = false;
+  /// Live embeddings per (pattern, position, vertex), in one
+  /// open-addressing table (linear probing, backward-shift deletion):
+  /// MNI bookkeeping without a heap node per newly seen vertex.
+  class PositionCounts {
+   public:
+    /// Counts one more occurrence; true when the key is new.
+    bool Increment(uint32_t pattern_id, size_t pos, VertexId v);
+    /// Counts one fewer occurrence of a present key; true when that
+    /// was its last one.
+    bool Decrement(uint32_t pattern_id, size_t pos, VertexId v);
+
+   private:
+    struct Slot {
+      uint64_t key = 0;
+      uint32_t count = 0;  // 0 = empty slot
+    };
+    static uint64_t Key(uint32_t pattern_id, size_t pos, VertexId v);
+    size_t Home(uint64_t key) const;
+    /// Index of `key`'s slot, or of the empty slot ending its probe.
+    size_t Find(uint64_t key) const;
+    void Grow();
+
+    std::vector<Slot> slots_;
+    size_t used_ = 0;
   };
+
+  /// One live embedding, stored inline: the steady-state path makes no
+  /// per-embedding allocation. `edge_slot[i]` is this embedding's index
+  /// in `edge_index_[edges[i]]`, so removal swap-removes it from every
+  /// edge's list in O(1). Edge and vertex counts come from the
+  /// pattern; enumerated subsets are connected, so k edges have at most
+  /// k+1 vertices.
+  struct Embedding {
+    uint32_t pattern_id = kFreeSlot;
+    EdgeId edges[kMaxPatternEdges] = {};
+    uint32_t edge_slot[kMaxPatternEdges] = {};
+    VertexId assignment[kMaxPatternEdges + 1] = {};
+  };
+  static constexpr uint32_t kFreeSlot = ~uint32_t{0};
 
   void AddEmbedding(const PropertyGraph& graph,
                     const std::vector<EdgeId>& edges);
-  void RemoveEmbedding(uint32_t embedding_id);
+  /// Removes one embedding; `draining` is the expiring edge whose list
+  /// the caller is walking (and releases afterwards), so it is skipped.
+  void RemoveEmbedding(uint32_t embedding_id, EdgeId draining);
   size_t SupportOfEntry(const PatternEntry& entry) const;
 
   MinerConfig config_;
   std::vector<PatternEntry> patterns_;
-  std::unordered_map<Pattern, uint32_t, PatternHash> pattern_index_;
+  std::unordered_map<PatternCode, uint32_t, PatternCodeHash> pattern_index_;
+  PositionCounts position_counts_;
   std::vector<Embedding> embeddings_;
   std::vector<uint32_t> free_slots_;
-  std::unordered_map<EdgeId, std::vector<uint32_t>> edge_index_;
+  /// Embedding ids per window-graph edge id (dense: edge ids only
+  /// grow). An expired edge's list is released.
+  std::vector<std::vector<uint32_t>> edge_index_;
+  SubsetEnumerator enumerator_;
   std::unordered_set<size_t> last_frequent_;  // pattern ids
   uint64_t generation_ = 0;
   size_t live_embeddings_ = 0;

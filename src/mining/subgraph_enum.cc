@@ -1,107 +1,143 @@
 #include "mining/subgraph_enum.h"
 
 #include <algorithm>
-#include <set>
+#include <limits>
+
+#include "common/logging.h"
 
 namespace nous {
 
-size_t EnumerateConnectedSubsets(
-    const PropertyGraph& graph, EdgeId anchor, const MinerConfig& config,
-    bool older_only,
-    const std::function<void(const std::vector<EdgeId>&)>& fn) {
-  size_t visited = 0;
-  std::set<std::vector<EdgeId>> seen;
-  std::vector<EdgeId> current = {anchor};
+size_t SubsetEnumerator::Enumerate(const PropertyGraph& graph,
+                                   EdgeId anchor, const MinerConfig& config,
+                                   bool older_only, const Callback& fn) {
+  NOUS_CHECK(config.max_edges <= kMaxPatternEdges)
+      << "max_edges " << config.max_edges << " > kMaxPatternEdges";
+  graph_ = &graph;
+  config_ = &config;
+  fn_ = &fn;
+  anchor_ = anchor;
+  older_only_ = older_only;
+  visited_ = 0;
+  if (stamp_.size() < graph.NumEdgeSlots()) {
+    stamp_.resize(graph.NumEdgeSlots(), 0);
+  }
+  seen_.clear();
+  subset_[0] = anchor;
+  Grow(1);
+  return visited_;
+}
 
-  // Collect candidate extensions: live edges adjacent to any endpoint
-  // of the current subset.
-  auto extensions = [&graph, older_only, anchor](
-                        const std::vector<EdgeId>& subset) {
-    std::vector<EdgeId> result;
-    auto consider = [&](EdgeId e) {
-      if (older_only && e >= anchor) return;
-      if (e == anchor) return;
-      if (std::find(subset.begin(), subset.end(), e) != subset.end())
-        return;
-      if (std::find(result.begin(), result.end(), e) != result.end())
-        return;
-      result.push_back(e);
-    };
-    for (EdgeId in_set : subset) {
-      const EdgeRecord& rec = graph.Edge(in_set);
-      for (VertexId v : {rec.subject, rec.object}) {
-        for (const AdjEntry& a : graph.OutEdges(v)) consider(a.edge);
-        for (const AdjEntry& a : graph.InEdges(v)) consider(a.edge);
-      }
-    }
-    return result;
-  };
+bool SubsetEnumerator::Grow(size_t size) {
+  sorted_.assign(subset_, subset_ + size);
+  std::sort(sorted_.begin(), sorted_.end());
+  if (size >= 3) {
+    std::array<EdgeId, kMaxPatternEdges> key;
+    key.fill(std::numeric_limits<EdgeId>::max());
+    std::copy(sorted_.begin(), sorted_.end(), key.begin());
+    if (!seen_.insert(key).second) return true;
+  }
+  ++visited_;
+  (*fn_)(sorted_);
+  if (visited_ >= config_->max_subsets_per_edge) return false;
+  // max_edges <= kMaxPatternEdges; the second test bounds subset_ for
+  // the compiler too.
+  if (size >= config_->max_edges || size >= kMaxPatternEdges) return true;
+  CollectExtensions(size);
+  for (EdgeId ext : extensions_[size]) {
+    subset_[size] = ext;
+    if (!Grow(size + 1)) return false;
+  }
+  return true;
+}
 
-  std::function<bool(std::vector<EdgeId>*)> grow =
-      [&](std::vector<EdgeId>* subset) -> bool {
-    std::vector<EdgeId> sorted = *subset;
-    std::sort(sorted.begin(), sorted.end());
-    if (!seen.insert(sorted).second) return true;
-    ++visited;
-    fn(sorted);
-    if (visited >= config.max_subsets_per_edge) return false;
-    if (subset->size() >= config.max_edges) return true;
-    for (EdgeId ext : extensions(*subset)) {
-      subset->push_back(ext);
-      bool keep_going = grow(subset);
-      subset->pop_back();
-      if (!keep_going) return false;
-    }
-    return true;
+void SubsetEnumerator::CollectExtensions(size_t size) {
+  std::vector<EdgeId>& out = extensions_[size];
+  out.clear();
+  if (++epoch_ == 0) {  // wrapped: old stamps could alias
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    epoch_ = 1;
+  }
+  for (size_t i = 0; i < size; ++i) stamp_[subset_[i]] = epoch_;
+  auto consider = [&](EdgeId e) {
+    if (older_only_ && e >= anchor_) return;
+    if (stamp_[e] == epoch_) return;  // in the subset or already listed
+    stamp_[e] = epoch_;
+    out.push_back(e);
   };
-  grow(&current);
-  return visited;
+  for (size_t i = 0; i < size; ++i) {
+    const EdgeRecord& rec = graph_->Edge(subset_[i]);
+    for (VertexId v : {rec.subject, rec.object}) {
+      for (const AdjEntry& a : graph_->OutEdges(v)) consider(a.edge);
+      for (const AdjEntry& a : graph_->InEdges(v)) consider(a.edge);
+    }
+  }
+}
+
+size_t EnumerateConnectedSubsets(const PropertyGraph& graph, EdgeId anchor,
+                                 const MinerConfig& config, bool older_only,
+                                 const SubsetEnumerator::Callback& fn) {
+  SubsetEnumerator enumerator;
+  return enumerator.Enumerate(graph, anchor, config, older_only, fn);
+}
+
+PatternCode CanonicalCodeOf(const PropertyGraph& graph, const EdgeId* edges,
+                            size_t num_edges, bool use_vertex_types,
+                            VertexId* assignment) {
+  EdgeSetCanonicalizer set;
+  for (size_t i = 0; i < num_edges; ++i) {
+    const EdgeRecord& rec = graph.Edge(edges[i]);
+    set.Add(rec.subject, rec.predicate, rec.object);
+  }
+  if (use_vertex_types) {
+    for (size_t v = 0; v < set.num_vertices(); ++v) {
+      set.set_label(v, graph.VertexType(static_cast<VertexId>(set.vertex(v))));
+    }
+  }
+  uint8_t local[kMaxPatternVertices];
+  PatternCode code = set.Canonicalize(assignment != nullptr ? local : nullptr);
+  if (assignment != nullptr) {
+    for (size_t pos = 0; pos < code.num_vertices; ++pos) {
+      assignment[pos] = static_cast<VertexId>(set.vertex(local[pos]));
+    }
+  }
+  return code;
 }
 
 Pattern CanonicalizeEdgeSet(const PropertyGraph& graph,
                             const std::vector<EdgeId>& edges,
                             bool use_vertex_types,
                             std::vector<VertexId>* assignment) {
-  std::vector<Pattern::ConcreteEdge> concrete;
-  concrete.reserve(edges.size());
-  for (EdgeId e : edges) {
-    const EdgeRecord& rec = graph.Edge(e);
-    concrete.push_back(
-        Pattern::ConcreteEdge{rec.subject, rec.predicate, rec.object});
-  }
-  auto label = [&graph, use_vertex_types](uint64_t v) -> TypeId {
-    if (!use_vertex_types) return kInvalidType;
-    return graph.VertexType(static_cast<VertexId>(v));
-  };
-  std::vector<uint64_t> mapping;
-  Pattern p = Pattern::Canonicalize(concrete, label,
-                                    assignment ? &mapping : nullptr);
+  VertexId positions[kMaxPatternVertices];
+  PatternCode code =
+      CanonicalCodeOf(graph, edges.data(), edges.size(), use_vertex_types,
+                      assignment != nullptr ? positions : nullptr);
   if (assignment != nullptr) {
-    assignment->clear();
-    for (uint64_t v : mapping) {
-      assignment->push_back(static_cast<VertexId>(v));
-    }
+    assignment->assign(positions, positions + code.num_vertices);
   }
-  return p;
+  return Pattern(code);
 }
 
 SupportCounter::SupportCounter(const PropertyGraph* graph,
                                bool use_vertex_types)
     : graph_(graph), use_vertex_types_(use_vertex_types) {}
 
-void SupportCounter::AddEmbedding(const std::vector<EdgeId>& edges) {
-  std::vector<VertexId> assignment;
-  Pattern p =
-      CanonicalizeEdgeSet(*graph_, edges, use_vertex_types_, &assignment);
-  auto [it, inserted] = index_.try_emplace(p, entries_.size());
+size_t SupportCounter::EntryFor(const PatternCode& code) {
+  auto [it, inserted] = index_.try_emplace(code, entries_.size());
   if (inserted) {
     Entry entry;
-    entry.pattern = p;
-    entry.position_counts.resize(p.num_vertices());
+    entry.pattern = Pattern(code);
+    entry.position_counts.resize(code.num_vertices);
     entries_.push_back(std::move(entry));
   }
-  Entry& entry = entries_[it->second];
-  for (size_t pos = 0; pos < assignment.size(); ++pos) {
+  return it->second;
+}
+
+void SupportCounter::AddEmbedding(const std::vector<EdgeId>& edges) {
+  VertexId assignment[kMaxPatternVertices];
+  PatternCode code = CanonicalCodeOf(*graph_, edges.data(), edges.size(),
+                                     use_vertex_types_, assignment);
+  Entry& entry = entries_[EntryFor(code)];
+  for (size_t pos = 0; pos < code.num_vertices; ++pos) {
     entry.position_counts[pos][assignment[pos]]++;
   }
   ++entry.embeddings;
@@ -110,15 +146,7 @@ void SupportCounter::AddEmbedding(const std::vector<EdgeId>& edges) {
 
 void SupportCounter::Merge(const SupportCounter& other) {
   for (const Entry& entry : other.entries_) {
-    auto [it, inserted] =
-        index_.try_emplace(entry.pattern, entries_.size());
-    if (inserted) {
-      Entry fresh;
-      fresh.pattern = entry.pattern;
-      fresh.position_counts.resize(entry.pattern.num_vertices());
-      entries_.push_back(std::move(fresh));
-    }
-    Entry& target = entries_[it->second];
+    Entry& target = entries_[EntryFor(entry.pattern.Code())];
     for (size_t pos = 0; pos < entry.position_counts.size(); ++pos) {
       for (const auto& [vertex, count] : entry.position_counts[pos]) {
         target.position_counts[pos][vertex] += count;

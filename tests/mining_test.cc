@@ -1,15 +1,23 @@
 #include <algorithm>
 #include <map>
+#include <random>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "core/nous.h"
+#include "core/snapshot.h"
+#include "corpus/article_generator.h"
+#include "corpus/world_model.h"
 #include "graph/graph_generator.h"
 #include "graph/property_graph.h"
 #include "graph/temporal_window.h"
+#include "kb/kb_generator.h"
 #include "mining/arabesque_sim.h"
 #include "mining/gspan.h"
 #include "mining/pattern.h"
@@ -362,6 +370,279 @@ TEST(MinerEquivalenceTest, EquivalenceAfterFullExpiry) {
   EXPECT_EQ(miner.num_live_embeddings(),
             miner.total_embeddings_created() -
                 miner.total_embeddings_removed());
+}
+
+// ---------- Randomized churn: O(1) removal keeps exact counts ----------
+
+std::map<std::string, std::pair<size_t, size_t>> ToTypedMap(
+    const std::vector<PatternStats>& stats, const PropertyGraph& g) {
+  std::map<std::string, std::pair<size_t, size_t>> result;
+  for (const PatternStats& s : stats) {
+    result[s.pattern.ToString(g.predicates(), &g.types())] = {s.support,
+                                                              s.embeddings};
+  }
+  EXPECT_EQ(result.size(), stats.size());
+  return result;
+}
+
+// Random windows of 1-64 edges with self-loops and parallel edges.
+// The stream is fixed by default; under --gtest_shuffle every
+// --gtest_repeat iteration draws a new one (replay a failure with the
+// printed --gtest_random_seed).
+TEST(StreamingMinerChurnTest, EverySlideMatchesReenumeration) {
+  std::mt19937_64 rng(20261017 +
+                      ::testing::UnitTest::GetInstance()->random_seed());
+  for (int round = 0; round < 30; ++round) {
+    const size_t window = 1 + rng() % 64;
+    MinerConfig config;
+    config.max_edges = 1 + rng() % 3;
+    config.min_support = 1 + rng() % 3;
+    config.use_vertex_types = rng() % 2 == 0;
+    SCOPED_TRACE(StrFormat("round %d window %zu max_edges %zu", round,
+                           window, config.max_edges));
+    PropertyGraph g;
+    TemporalWindow w(&g, window);
+    StreamingMiner miner(config);
+    w.AddListener(&miner);
+    // Few vertices relative to the window: self-loops (s == o) and
+    // parallel edges (a repeated triple) are common.
+    const size_t num_vertices = 2 + window / 3;
+    for (size_t v = 0; v < num_vertices; ++v) {
+      VertexId id = g.GetOrAddVertex("v" + std::to_string(v));
+      g.SetVertexType(id, g.types().Intern(v % 2 == 0 ? "even" : "odd"));
+    }
+    const size_t stream = 2 * window + 8;
+    for (size_t i = 0; i < stream; ++i) {
+      TimedTriple t;
+      t.triple.subject = "v" + std::to_string(rng() % num_vertices);
+      t.triple.predicate = "p" + std::to_string(rng() % 3);
+      t.triple.object = rng() % 5 == 0
+                            ? t.triple.subject
+                            : "v" + std::to_string(rng() % num_vertices);
+      t.timestamp = static_cast<Timestamp>(i);
+      w.Add(t);
+      ASSERT_EQ(ToTypedMap(miner.FrequentPatterns(), g),
+                ToTypedMap(MineArabesqueSim(g, config), g))
+          << "after edge " << i;
+      ASSERT_EQ(miner.num_live_embeddings(),
+                miner.total_embeddings_created() -
+                    miner.total_embeddings_removed());
+    }
+    EXPECT_GT(miner.total_embeddings_removed(), 0u);
+  }
+}
+
+TEST(StreamingMinerDeathTest, RejectsMaxEdgesAboveBound) {
+  MinerConfig config;
+  config.max_edges = kMaxPatternEdges + 1;
+  EXPECT_DEATH(StreamingMiner{config}, "exceeds kMaxPatternEdges");
+}
+
+TEST(StreamingMinerTest, AcceptsMaxEdgesAtBound) {
+  PropertyGraph g;
+  TemporalWindow w(&g, 0);
+  MinerConfig config;
+  config.max_edges = kMaxPatternEdges;
+  config.min_support = 1;
+  StreamingMiner miner(config);
+  w.AddListener(&miner);
+  // A 4-edge chain: every connected subset of it is one embedding.
+  w.Add(Tr("a", "p", "b", 0));
+  w.Add(Tr("b", "p", "c", 1));
+  w.Add(Tr("c", "p", "d", 2));
+  w.Add(Tr("d", "p", "e", 3));
+  EXPECT_EQ(miner.total_embeddings_created(), 4u + 3u + 2u + 1u);
+}
+
+TEST(StreamingMinerTest, ZeroMaxEdgesMinesTheAnchorEdgeOnly) {
+  PropertyGraph g;
+  TemporalWindow w(&g, 0);
+  MinerConfig config;
+  config.max_edges = 0;
+  config.min_support = 1;
+  StreamingMiner miner(config);
+  w.AddListener(&miner);
+  w.Add(Tr("a", "p", "b", 0));
+  w.Add(Tr("b", "q", "c", 1));
+  w.Add(Tr("a", "p", "c", 2));
+  EXPECT_EQ(miner.total_embeddings_created(), 3u);
+  for (const PatternStats& stats : miner.FrequentPatterns()) {
+    EXPECT_EQ(stats.pattern.num_edges(), 1u);
+  }
+  EXPECT_EQ(miner.FrequentPatterns().size(), 2u);
+}
+
+// ---------- Golden order: pinned against the original miner ----------
+//
+// Pattern ids, tie order among equal supports and the MNI assignment of
+// automorphic patterns all follow the enumeration callback order and
+// the canonicalization tie-break. These digests were captured from the
+// allocating implementation the current miner replaced; any drift in
+// either order changes them.
+
+uint64_t DigestRendered(uint64_t h,
+                        const std::vector<RenderedPattern>& patterns) {
+  for (const RenderedPattern& p : patterns) {
+    h = Mix64(h ^ Fnv1a(p.description));
+    h = Mix64(h ^ p.support);
+    h = Mix64(h ^ p.embeddings);
+  }
+  return Mix64(h ^ patterns.size());
+}
+
+struct GoldenDigests {
+  uint64_t ingest = 0;     // after every ingest batch
+  uint64_t finalized = 0;  // ... and after Finalize
+  size_t removed = 0;      // embeddings expired along the way
+};
+
+// Feeds a seeded drone corpus through Nous::IngestBatch in 32 batches
+// and digests the rendered (closed frequent) pattern list after each.
+GoldenDigests IngestAndDigest(const MinerConfig& miner) {
+  DroneWorldConfig wc;
+  wc.num_events = 1500;
+  wc.seed = 1;
+  WorldModel world = WorldModel::BuildDroneWorld(wc);
+  KbCoverage coverage;
+  coverage.entity_coverage = 0.6;
+  CuratedKb kb = BuildCuratedKb(world, Ontology::DroneDefault(), coverage);
+  CorpusConfig corpus;
+  corpus.seed = 1;
+  std::vector<Article> articles =
+      ArticleGenerator(&world, corpus).GenerateArticles();
+  NousOptions options;
+  options.pipeline.miner = miner;
+  options.pipeline.miner_window_edges = 600;  // expiry churn mid-corpus
+  Nous nous(&kb, options);
+
+  constexpr size_t kBatches = 32;
+  const size_t batch_docs = (articles.size() + kBatches - 1) / kBatches;
+  GoldenDigests out;
+  size_t batches = 0;
+  for (size_t begin = 0; begin < articles.size(); begin += batch_docs) {
+    size_t end = std::min(articles.size(), begin + batch_docs);
+    std::vector<Article> batch(articles.begin() + begin,
+                               articles.begin() + end);
+    EXPECT_TRUE(nous.IngestBatch(batch).ok());
+    out.ingest = DigestRendered(out.ingest, nous.snapshot()->patterns());
+    ++batches;
+  }
+  EXPECT_EQ(batches, kBatches);
+  EXPECT_FALSE(nous.snapshot()->patterns().empty());
+  nous.Finalize();
+  out.finalized = DigestRendered(out.ingest, nous.snapshot()->patterns());
+  out.removed = nous.miner()->total_embeddings_removed();
+  return out;
+}
+
+TEST(MinerGoldenTest, RenderedPatternListAfterEveryBatch) {
+  GoldenDigests d = IngestAndDigest(MinerConfig{});
+  EXPECT_GT(d.removed, 0u);
+  EXPECT_EQ(d.ingest, 0x1ed9e9f14250f2e9ULL) << std::hex << d.ingest;
+  EXPECT_EQ(d.finalized, 0xed20fd6440aa5f70ULL) << std::hex << d.finalized;
+}
+
+TEST(MinerGoldenTest, TypedThreeEdgePatternListAfterEveryBatch) {
+  MinerConfig config;
+  config.max_edges = 3;
+  config.min_support = 3;
+  config.use_vertex_types = true;
+  // Curated hubs never expire; the cap keeps 3-edge growth around them
+  // bounded (and pins the order in which a capped anchor stops).
+  config.max_subsets_per_edge = 100;
+  GoldenDigests d = IngestAndDigest(config);
+  EXPECT_GT(d.removed, 0u);
+  EXPECT_EQ(d.ingest, 0xc5d9b2ff6a9e8882ULL) << std::hex << d.ingest;
+  EXPECT_EQ(d.finalized, 0x58185fa2baca024ULL) << std::hex << d.finalized;
+}
+
+// A 40-edge graph around one hub with self-loops and parallel edges:
+// the shapes where extension dedupe and the seen-set matter.
+PropertyGraph HubGraph() {
+  PropertyGraph g;
+  VertexId hub = g.GetOrAddVertex("hub");
+  std::vector<VertexId> spokes;
+  for (int i = 0; i < 10; ++i) {
+    spokes.push_back(g.GetOrAddVertex("v" + std::to_string(i)));
+  }
+  std::vector<PredicateId> preds = {g.predicates().Intern("p0"),
+                                    g.predicates().Intern("p1"),
+                                    g.predicates().Intern("p2")};
+  for (int i = 0; i < 40; ++i) {
+    VertexId v = spokes[i % 10];
+    switch (i % 5) {
+      case 0:  // self-loop on the hub
+        g.AddEdge(hub, preds[i % 3], hub, {});
+        break;
+      case 1:
+        g.AddEdge(hub, preds[i % 3], v, {});
+        break;
+      case 2:
+        g.AddEdge(v, preds[(i + 1) % 3], hub, {});
+        break;
+      case 3:  // parallel edges hub -p0-> v1
+        g.AddEdge(hub, preds[0], spokes[1], {});
+        break;
+      default:  // off-hub edges, one of them a spoke self-loop
+        g.AddEdge(v, preds[2], i == 24 ? v : spokes[(i + 3) % 10], {});
+        break;
+    }
+  }
+  return g;
+}
+
+TEST(SubgraphEnumGoldenTest, CallbackSequenceOnHubGraph) {
+  PropertyGraph g = HubGraph();
+  ASSERT_EQ(g.NumEdges(), 40u);
+  MinerConfig config;
+  config.max_edges = 3;
+  uint64_t digest = 0;
+  size_t total = 0;
+  std::set<std::vector<EdgeId>> global;
+  for (bool older_only : {true, false}) {
+    for (EdgeId anchor = 0; anchor < 40; ++anchor) {
+      std::set<std::vector<EdgeId>> local;
+      size_t calls = 0;
+      size_t visited = EnumerateConnectedSubsets(
+          g, anchor, config, older_only,
+          [&](const std::vector<EdgeId>& subset) {
+            ++calls;
+            EXPECT_TRUE(std::is_sorted(subset.begin(), subset.end()));
+            EXPECT_TRUE(local.insert(subset).second) << "repeat subset";
+            if (older_only) {
+              EXPECT_TRUE(global.insert(subset).second)
+                  << "subset found from two anchors";
+            }
+            digest = Mix64(digest ^ (uint64_t{anchor} << 32 | subset.size()));
+            for (EdgeId e : subset) digest = Mix64(digest ^ e);
+          });
+      EXPECT_EQ(visited, calls);
+      total += calls;
+    }
+  }
+  EXPECT_EQ(total, 25056u);
+  EXPECT_EQ(digest, 0x2bf455e97834c3f4ULL) << std::hex << digest;
+}
+
+TEST(SubgraphEnumGoldenTest, SubsetCapStopsAtExactlyN) {
+  PropertyGraph g = HubGraph();
+  MinerConfig config;
+  config.max_edges = 3;
+  std::vector<std::vector<EdgeId>> full;
+  EnumerateConnectedSubsets(
+      g, 39, config, /*older_only=*/true,
+      [&](const std::vector<EdgeId>& s) { full.push_back(s); });
+  ASSERT_GT(full.size(), 40u);
+  for (size_t cap : {size_t{1}, size_t{2}, size_t{17}, full.size() - 1}) {
+    config.max_subsets_per_edge = cap;
+    std::vector<std::vector<EdgeId>> capped;
+    size_t visited = EnumerateConnectedSubsets(
+        g, 39, config, /*older_only=*/true,
+        [&](const std::vector<EdgeId>& s) { capped.push_back(s); });
+    EXPECT_EQ(visited, cap);
+    ASSERT_EQ(capped.size(), cap);
+    EXPECT_TRUE(std::equal(capped.begin(), capped.end(), full.begin()));
+  }
 }
 
 // ---------- Baselines directly ----------
