@@ -13,9 +13,10 @@
 // --wal-dir DIR makes :ingest crash-safe (DESIGN.md §5.10): a
 // previous run's checkpoint + WAL are recovered (skipping the demo
 // build) and every new ingest is logged before it is applied.
-// --fsync always|interval|never picks the WAL flush policy;
-// --checkpoint-interval N checkpoints every N logged batches
-// (default 8; 0 = only via :checkpoint).
+// --fsync always|never says whether an ingest is acknowledged only
+// after an fsync of the WAL (default always; never leaves it to the OS
+// page cache); --checkpoint-interval N checkpoints every N logged
+// batches (default 8; 0 = only via :checkpoint).
 //
 // Commands (one per line on stdin):
 //   tell me about <entity>            entity summary (Figure 6)
@@ -62,7 +63,6 @@ void PrintHelp() {
 
 bool ParseFsyncPolicy(const std::string& mode, nous::FsyncPolicy* policy) {
   if (mode == "always") *policy = nous::FsyncPolicy::kAlways;
-  else if (mode == "interval") *policy = nous::FsyncPolicy::kInterval;
   else if (mode == "never") *policy = nous::FsyncPolicy::kNever;
   else return false;
   return true;
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   size_t num_threads = 0;  // 0 = hardware_concurrency
   std::string wal_dir;
   size_t checkpoint_interval = 8;
-  FsyncPolicy fsync_policy = FsyncPolicy::kInterval;
+  FsyncPolicy fsync_policy = FsyncPolicy::kAlways;
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -108,12 +108,12 @@ int main(int argc, char** argv) {
           RequireSize("--checkpoint-interval", arg.substr(22), 0, SIZE_MAX);
     } else if (arg == "--fsync" && i + 1 < argc) {
       if (!ParseFsyncPolicy(argv[++i], &fsync_policy)) {
-        std::cerr << "--fsync expects always|interval|never\n";
+        std::cerr << "--fsync expects always|never\n";
         return 1;
       }
     } else if (arg.rfind("--fsync=", 0) == 0) {
       if (!ParseFsyncPolicy(arg.substr(8), &fsync_policy)) {
-        std::cerr << "--fsync expects always|interval|never\n";
+        std::cerr << "--fsync expects always|never\n";
         return 1;
       }
     } else {

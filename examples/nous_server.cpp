@@ -13,16 +13,17 @@
 // every value.
 //
 // --query-cache-entries N bounds the versioned answer cache (LRU, N
-// entries, default 1024); --no-query-cache disables it. Either way,
-// queries serve from immutable KG snapshots and never block ingest
-// (DESIGN.md §5.11).
+// entries, default 1024); --no-query-cache sets N to 0, which disables
+// it. Either way, queries serve from immutable KG snapshots and never
+// block ingest (DESIGN.md §5.11).
 //
 // --wal-dir DIR makes ingest crash-safe (DESIGN.md §5.10): the server
 // recovers whatever a previous run left in DIR (checkpoint + WAL
 // replay, skipping the demo build), then logs every new ingest before
 // applying it. --checkpoint-interval N checkpoints every N logged
-// batches (default 8; 0 = only on shutdown); --fsync always|interval|
-// never picks the WAL flush policy.
+// batches (default 8; 0 = only on shutdown); --fsync always|never says
+// whether an ingest is acknowledged only after an fsync of the WAL
+// (default always; never leaves it to the OS page cache).
 //
 // --slow-query-ms MS logs a Warning with trace id + per-stage
 // breakdown for every request slower than MS milliseconds (also
@@ -85,7 +86,6 @@ void HandleSignal(int) { g_stop = 1; }
 
 bool ParseFsyncPolicy(const std::string& mode, nous::FsyncPolicy* policy) {
   if (mode == "always") *policy = nous::FsyncPolicy::kAlways;
-  else if (mode == "interval") *policy = nous::FsyncPolicy::kInterval;
   else if (mode == "never") *policy = nous::FsyncPolicy::kNever;
   else return false;
   return true;
@@ -130,7 +130,7 @@ int main(int argc, char** argv) {
   size_t num_threads = 0;  // 0 = hardware_concurrency
   std::string wal_dir;
   size_t checkpoint_interval = 8;
-  FsyncPolicy fsync_policy = FsyncPolicy::kInterval;
+  FsyncPolicy fsync_policy = FsyncPolicy::kAlways;
   QueryCacheOptions query_cache;
   int replicate_to_port = 0;
   std::string follow_target;  // "host:port"
@@ -154,12 +154,12 @@ int main(int argc, char** argv) {
           RequireSize("--checkpoint-interval", arg.substr(22), 0, SIZE_MAX);
     } else if (arg == "--fsync" && i + 1 < argc) {
       if (!ParseFsyncPolicy(argv[++i], &fsync_policy)) {
-        std::cerr << "--fsync expects always|interval|never\n";
+        std::cerr << "--fsync expects always|never\n";
         return 1;
       }
     } else if (arg.rfind("--fsync=", 0) == 0) {
       if (!ParseFsyncPolicy(arg.substr(8), &fsync_policy)) {
-        std::cerr << "--fsync expects always|interval|never\n";
+        std::cerr << "--fsync expects always|never\n";
         return 1;
       }
     } else if (arg == "--query-cache-entries" && i + 1 < argc) {
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
       query_cache.entries =
           RequireSize("--query-cache-entries", arg.substr(22), 1, SIZE_MAX);
     } else if (arg == "--no-query-cache") {
-      query_cache.enabled = false;
+      query_cache.entries = 0;
     } else if (arg == "--slow-query-ms" && i + 1 < argc) {
       SetSlowTraceThresholdMs(RequireDouble("--slow-query-ms", argv[++i]));
     } else if (arg.rfind("--slow-query-ms=", 0) == 0) {

@@ -1,7 +1,5 @@
 #include "core/nous.h"
 
-#include <cstdlib>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -12,30 +10,9 @@
 
 namespace nous {
 
-namespace {
-
-/// Parses the N of an "adhoc_N" article id (what IngestText assigns);
-/// replay uses it to fast-forward the pipeline's ad-hoc counter past
-/// every id the crashed instance already handed out.
-bool ParseAdhocId(const std::string& id, size_t* value) {
-  constexpr std::string_view kPrefix = "adhoc_";
-  if (id.size() <= kPrefix.size() ||
-      std::string_view(id).substr(0, kPrefix.size()) != kPrefix) {
-    return false;
-  }
-  const char* digits = id.c_str() + kPrefix.size();
-  char* end = nullptr;
-  unsigned long long n = std::strtoull(digits, &end, 10);
-  if (end == digits || *end != '\0') return false;
-  *value = static_cast<size_t>(n);
-  return true;
-}
-
-}  // namespace
-
 Nous::Nous(const CuratedKb* kb, Options options)
     : options_(std::move(options)), pipeline_(kb, options_.pipeline) {
-  if (options_.query_cache.enabled && options_.query_cache.entries > 0) {
+  if (options_.query_cache.entries > 0) {
     cache_ = std::make_unique<QueryCache>(options_.query_cache.entries);
   }
 }
@@ -72,22 +49,14 @@ Result<Nous::RecoveryStats> Nous::Recover() {
     stats.restored_checkpoint = true;
     last_seq = recovered.checkpoint.last_applied_seq;
   }
-  size_t adhoc_floor = 0;
   for (const WalRecord& record : recovered.replay) {
     NOUS_ASSIGN_OR_RETURN(std::vector<Article> batch,
                           DecodeArticleBatch(record.payload));
-    for (const Article& article : batch) {
-      size_t n = 0;
-      if (ParseAdhocId(article.id, &n) && n + 1 > adhoc_floor) {
-        adhoc_floor = n + 1;
-      }
-    }
     pipeline_.IngestBatch(batch);
     last_seq = record.seq;
     ++stats.replayed_batches;
     stats.replayed_articles += batch.size();
   }
-  if (adhoc_floor > 0) pipeline_.EnsureAdhocCounterAtLeast(adhoc_floor);
   NOUS_RETURN_IF_ERROR(manager->OpenWal(last_seq, LiveKgVersion()));
   stats.last_seq = last_seq;
   durability_ = std::move(manager);
@@ -124,60 +93,60 @@ uint64_t Nous::LiveKgVersion() const {
   return pipeline_.kg_version();
 }
 
-uint64_t Nous::MarkAppliedLocked(uint64_t seq) {
-  const uint64_t kgv = LiveKgVersion();
-  durability_->MarkApplied(seq, kgv);
-  return kgv;
-}
-
-Result<uint64_t> Nous::IngestBatchDurableLocked(const Article* articles,
-                                                size_t count) {
+Result<uint64_t> Nous::CommitLocked(const std::string& payload,
+                                    const Article* articles, size_t count,
+                                    uint64_t expected_kg_version,
+                                    Status* verdict) {
   // Log before apply: a batch that cannot reach the WAL is rejected
   // with the pipeline untouched, so nothing unlogged is ever
   // acknowledged. A torn append (crash or injected fault) leaves a
   // CRC-invalid tail the next Recover() drops.
-  std::string payload = EncodeArticleBatch(articles, count);
   NOUS_ASSIGN_OR_RETURN(uint64_t seq, durability_->LogBatch(payload));
   pipeline_.IngestBatch(articles, count);
-  const uint64_t kgv = MarkAppliedLocked(seq);
+  const uint64_t kgv = LiveKgVersion();
+  durability_->MarkApplied(seq, kgv);
   if (listener_ != nullptr) listener_->OnCommit(seq, payload, kgv);
-  if (durability_->ShouldCheckpoint()) {
-    NOUS_RETURN_IF_ERROR(CheckpointLocked(pipeline_.SaveState(), kgv));
+  // A diverged replica must not persist its KG as a checkpoint.
+  if (expected_kg_version != 0 && kgv != expected_kg_version) {
+    *verdict = Status::DataLoss(
+        "replica diverged: KG version " + std::to_string(kgv) +
+        " after seq " + std::to_string(seq) + ", leader had " +
+        std::to_string(expected_kg_version));
+  } else if (durability_->ShouldCheckpoint()) {
+    *verdict = CheckpointLocked(pipeline_.SaveState(), kgv);
   }
   return seq;
 }
 
-Status Nous::IngestDurable(const Article* articles, size_t count) {
+Status Nous::Commit(const Article* articles, size_t count) {
+  if (count == 0) return Status::Ok();
+  if (!durable()) {
+    pipeline_.IngestBatch(articles, count);
+    return Status::Ok();
+  }
   DurabilityManager* durability = nullptr;
   uint64_t seq = 0;
   queued_writers_.fetch_add(1, std::memory_order_relaxed);
   {
     MutexLock lock(ingest_mutex_);
     queued_writers_.fetch_sub(1, std::memory_order_relaxed);
-    NOUS_ASSIGN_OR_RETURN(seq, IngestBatchDurableLocked(articles, count));
+    Status verdict;
+    NOUS_ASSIGN_OR_RETURN(
+        seq, CommitLocked(EncodeArticleBatch(articles, count), articles,
+                          count, /*expected_kg_version=*/0, &verdict));
+    NOUS_RETURN_IF_ERROR(verdict);
     durability = durability_.get();
   }
   // Outside the ingest mutex: the next writers append and apply while
-  // this batch's fsync runs, and one fsync acks several of them.
+  // this batch's sync runs, and one sync acks several of them.
   return durability->WaitDurable(
       seq, queued_writers_.load(std::memory_order_relaxed) > 0);
 }
 
-Status Nous::Ingest(const Article& article) {
-  if (!durable()) {
-    pipeline_.Ingest(article);
-    return Status::Ok();
-  }
-  return IngestDurable(&article, 1);
-}
+Status Nous::Ingest(const Article& article) { return Commit(&article, 1); }
 
 Status Nous::IngestBatch(const std::vector<Article>& articles) {
-  if (articles.empty()) return Status::Ok();
-  if (!durable()) {
-    pipeline_.IngestBatch(articles);
-    return Status::Ok();
-  }
-  return IngestDurable(articles.data(), articles.size());
+  return Commit(articles.data(), articles.size());
 }
 
 Status Nous::IngestStream(DocumentStream* stream, bool finalize) {
@@ -201,18 +170,14 @@ Status Nous::IngestStream(DocumentStream* stream, bool finalize) {
 
 Status Nous::IngestText(const std::string& text, const Date& date,
                         const std::string& source) {
-  if (!durable()) {
-    pipeline_.IngestText(text, date, source);
-    return Status::Ok();
-  }
-  // Reserve the concrete "adhoc_N" id up front so the WAL logs the
-  // article exactly as the pipeline will ingest it.
+  // Reserve the concrete "adhoc_N" id up front so a durable commit logs
+  // the article exactly as the pipeline will ingest it.
   Article article;
   article.id = pipeline_.ReserveAdhocId();
   article.date = date;
   article.source = source;
   article.text = text;
-  return IngestDurable(&article, 1);
+  return Commit(&article, 1);
 }
 
 void Nous::Finalize() {
@@ -272,30 +237,12 @@ Status Nous::ApplyReplicatedBatch(uint64_t seq, const std::string& payload,
     // enter the local WAL (recovery would choke on it).
     NOUS_ASSIGN_OR_RETURN(std::vector<Article> batch,
                           DecodeArticleBatch(payload));
-    NOUS_ASSIGN_OR_RETURN(uint64_t logged, durability_->LogBatch(payload));
-    (void)logged;
-    size_t adhoc_floor = 0;
-    for (const Article& article : batch) {
-      size_t n = 0;
-      if (ParseAdhocId(article.id, &n) && n + 1 > adhoc_floor) {
-        adhoc_floor = n + 1;
-      }
-    }
-    pipeline_.IngestBatch(batch);
-    if (adhoc_floor > 0) pipeline_.EnsureAdhocCounterAtLeast(adhoc_floor);
-    const uint64_t kgv = MarkAppliedLocked(seq);
-    if (listener_ != nullptr) listener_->OnCommit(seq, payload, kgv);
-    if (expected_kg_version != 0 && kgv != expected_kg_version) {
-      verdict = Status::DataLoss(
-          "replica diverged: KG version " + std::to_string(kgv) +
-          " after seq " + std::to_string(seq) + ", leader had " +
-          std::to_string(expected_kg_version));
-    } else if (durability_->ShouldCheckpoint()) {
-      verdict = durability_->WriteCheckpoint(pipeline_.SaveState(), kgv);
-    }
+    NOUS_RETURN_IF_ERROR(CommitLocked(payload, batch.data(), batch.size(),
+                                      expected_kg_version, &verdict)
+                             .status());
     durability = durability_.get();
   }
-  // Acknowledged like local ingest: only once an fsync covers it.
+  // Acknowledged like local ingest: only once a sync covers it.
   NOUS_RETURN_IF_ERROR(durability->WaitDurable(seq));
   return verdict;
 }

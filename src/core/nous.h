@@ -24,10 +24,10 @@ namespace nous {
 class CommitListener {
  public:
   virtual ~CommitListener() = default;
-  /// One batch was WAL-logged and applied; under FsyncPolicy::kAlways
-  /// its fsync may still be pending. `payload` is the exact WAL
-  /// payload (EncodeArticleBatch bytes); `kg_version` the live KG
-  /// version after the apply.
+  /// One batch was WAL-logged and applied; its group-commit sync may
+  /// still be pending. `payload` is the exact WAL payload
+  /// (EncodeArticleBatch bytes); `kg_version` the live KG version after
+  /// the apply.
   virtual void OnCommit(uint64_t seq, const std::string& payload,
                         uint64_t kg_version) = 0;
   /// A checkpoint covering everything up to `seq` was persisted; the
@@ -51,10 +51,10 @@ class CommitListener {
 /// Durability (DESIGN.md §5.10): with Options::durability.dir set,
 /// Recover() restores the last checkpoint, replays the WAL, and opens
 /// the log; every subsequent ingest is logged before it is applied and
-/// only acknowledged (Status OK) once both succeeded — under
-/// FsyncPolicy::kAlways, also only once a group-commit fsync covering
-/// it returned. kill -9 at any byte offset recovers a KG bit-identical
-/// to the last durable batch.
+/// only acknowledged (Status OK) once both succeeded and a group-commit
+/// sync covering it returned (an fsync under FsyncPolicy::kAlways).
+/// kill -9 at any byte offset recovers a KG bit-identical to the last
+/// durable batch.
 /// Nous construction options. Lives at namespace scope (with a nested
 /// alias below) because GCC 12 miscompiles `Options options = {}`
 /// default arguments when a nested class carries its own default
@@ -172,8 +172,8 @@ class Nous {
       EXCLUDES(kg_mutex());
 
   /// Highest WAL seq that is durable (0 before any durable commit):
-  /// under FsyncPolicy::kAlways, covered by a returned fsync or a
-  /// checkpoint; under the other policies, logged + applied.
+  /// covered by a returned group-commit sync (an fsync under
+  /// FsyncPolicy::kAlways) or a checkpoint.
   /// Lock-free; readable from any thread.
   uint64_t last_durable_seq() const {
     return durable_seq_.load(std::memory_order_acquire);
@@ -248,20 +248,25 @@ class Nous {
   void RegisterResourceProbes(ResourceSampler* sampler);
 
  private:
-  /// Durable ingest of one batch: commits it under ingest_mutex_,
-  /// then waits — outside the mutex, so concurrent writers share one
-  /// fsync — until the batch is durable.
-  Status IngestDurable(const Article* articles, size_t count)
+  /// The one ingest routine behind Ingest, IngestBatch and IngestText.
+  /// Non-durable, it applies the batch. Durable, it commits the batch
+  /// under ingest_mutex_ (CommitLocked), then waits — outside the
+  /// mutex, so concurrent writers share one sync — until it is durable.
+  Status Commit(const Article* articles, size_t count)
       EXCLUDES(ingest_mutex_, kg_mutex());
-  /// Log-then-apply for one batch; returns its WAL seq. The caller
-  /// holds ingest_mutex_ so WAL order always matches apply order.
-  Result<uint64_t> IngestBatchDurableLocked(const Article* articles,
-                                            size_t count)
+  /// The locked step of every durable commit, local or replicated:
+  /// logs `payload` (the encoded `articles`), applies the batch, marks
+  /// it applied, tells the listener, and writes the automatic
+  /// checkpoint when one is due — unless the KG version differs from a
+  /// nonzero `expected_kg_version` (DataLoss). Returns the batch's WAL
+  /// seq; a failed log fails the call with nothing applied, while a
+  /// divergence or failed checkpoint after the apply lands in
+  /// `*verdict`. Holding ingest_mutex_ keeps WAL order = apply order.
+  Result<uint64_t> CommitLocked(const std::string& payload,
+                                const Article* articles, size_t count,
+                                uint64_t expected_kg_version,
+                                Status* verdict)
       REQUIRES(ingest_mutex_) EXCLUDES(kg_mutex());
-  /// Hands the durability manager the live KG version that `seq`
-  /// left behind (brief reader lock) and returns it.
-  uint64_t MarkAppliedLocked(uint64_t seq) REQUIRES(ingest_mutex_)
-      EXCLUDES(kg_mutex());
   /// Writes `state` (at KG version `kgv`) as the checkpoint covering
   /// everything logged, telling the listener before the WAL resets.
   Status CheckpointLocked(const std::string& state, uint64_t kgv)

@@ -1,6 +1,7 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <charconv>
 #include <set>
 #include <thread>
 
@@ -219,16 +220,6 @@ std::string KgPipeline::VertexTypeName(VertexId v) const {
   return graph_.types().GetString(t);
 }
 
-void KgPipeline::Ingest(const Article& article) {
-  ExtractedDoc doc = ExtractDocument(article);
-  {
-    WriterMutexLock lock(kg_mutex_);
-    CommitDocument(article, std::move(doc));
-    ++kg_version_;
-  }
-  PublishSnapshot();
-}
-
 void KgPipeline::IngestBatch(const Article* articles, size_t count) {
   if (count == 0) return;
   NOUS_SPAN_VAR(span, "ingest_batch");
@@ -251,6 +242,7 @@ void KgPipeline::IngestBatch(const Article* articles, size_t count) {
     WriterMutexLock lock(kg_mutex_);
     for (size_t i = 0; i < count; ++i) {
       CommitDocument(articles[i], std::move(docs[i]));
+      AdvanceAdhocCounterPast(articles[i].id);
     }
     // One bump per batch (the WAL commit unit), so recovery replay
     // reproduces the exact version of the uncrashed run.
@@ -486,16 +478,6 @@ std::string KgPipeline::ReserveAdhocId() {
       "adhoc_%zu", adhoc_counter_.fetch_add(1, std::memory_order_relaxed));
 }
 
-void KgPipeline::IngestText(const std::string& text, const Date& date,
-                            const std::string& source) {
-  Article article;
-  article.id = ReserveAdhocId();
-  article.date = date;
-  article.source = source;
-  article.text = text;
-  Ingest(article);
-}
-
 namespace {
 /// SaveState payload version; bump on any layout change.
 /// v2: adds kg_version_ after the curated-KB fingerprint.
@@ -694,7 +676,14 @@ Status KgPipeline::LoadStateLocked(std::string_view payload) {
   return Status::Ok();
 }
 
-void KgPipeline::EnsureAdhocCounterAtLeast(size_t value) {
+void KgPipeline::AdvanceAdhocCounterPast(std::string_view id) {
+  constexpr std::string_view kPrefix = "adhoc_";
+  if (id.substr(0, kPrefix.size()) != kPrefix) return;
+  size_t n = 0;
+  const char* end = id.data() + id.size();
+  auto [parsed, ec] = std::from_chars(id.data() + kPrefix.size(), end, n);
+  if (ec != std::errc() || parsed != end) return;
+  const size_t value = n + 1;
   size_t current = adhoc_counter_.load(std::memory_order_relaxed);
   while (current < value &&
          !adhoc_counter_.compare_exchange_weak(current, value,

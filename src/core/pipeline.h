@@ -111,15 +111,13 @@ class KgPipeline {
   KgPipeline(const KgPipeline&) = delete;
   KgPipeline& operator=(const KgPipeline&) = delete;
 
-  /// Ingests one article: extraction, joint linking, predicate
-  /// mapping, confidence scoring, KG + miner-window update, distant
-  /// supervision. Takes the write lock for the post-extraction stages.
-  void Ingest(const Article& article) EXCLUDES(kg_mutex_);
-
-  /// Ingests a batch: extraction runs across the pool (pure,
-  /// per-document), then link -> map -> score -> update commits
-  /// sequentially in array order under one write-lock acquisition.
-  /// Equivalent to calling Ingest() on each article in order.
+  /// The one ingest entry (a batch of one ingests one article):
+  /// extraction runs across the pool (pure, per-document), then joint
+  /// linking, predicate mapping, confidence scoring, KG + miner-window
+  /// update and distant supervision commit sequentially in array order
+  /// under one write-lock acquisition. An "adhoc_N" article id raises
+  /// the ad-hoc id counter past N, so WAL replay and replicated
+  /// batches never let ReserveAdhocId hand out an id twice.
   void IngestBatch(const Article* articles, size_t count)
       EXCLUDES(kg_mutex_);
   void IngestBatch(const std::vector<Article>& articles)
@@ -127,13 +125,9 @@ class KgPipeline {
     IngestBatch(articles.data(), articles.size());
   }
 
-  /// Convenience for ad-hoc text.
-  void IngestText(const std::string& text, const Date& date,
-                  const std::string& source) EXCLUDES(kg_mutex_);
-
-  /// Draws the next "adhoc_N" article id (what IngestText assigns).
-  /// Exposed so durable callers can build the Article — and WAL-log it
-  /// under its final id — before handing it to IngestBatch.
+  /// Draws the next "adhoc_N" article id, for ad-hoc text
+  /// (Nous::IngestText builds its Article — and WAL-logs it under its
+  /// final id — before handing it to IngestBatch).
   std::string ReserveAdhocId();
 
   /// Fits LDA topics over the fused KG and runs a final BPR refresh.
@@ -159,11 +153,6 @@ class KgPipeline {
   /// After a successful load, ingesting the same articles produces a
   /// fused KG bit-identical to the uncheckpointed run.
   Status LoadState(std::string_view payload) EXCLUDES(kg_mutex_);
-
-  /// Raises the ad-hoc article-id counter to at least `value` (used
-  /// after WAL replay so future IngestText ids cannot collide with
-  /// replayed "adhoc_N" ids).
-  void EnsureAdhocCounterAtLeast(size_t value);
 
   /// Reader/writer lock over the fused KG, miner state, and models.
   /// Ingest/Finalize acquire it exclusively; concurrent readers
@@ -214,8 +203,8 @@ class KgPipeline {
   const Ner& ner() const { return ner_; }
 
   /// Monotonic KG version: starts at 1 after the curated bootstrap and
-  /// increments on every mutating operation (Ingest call, IngestBatch
-  /// call, Finalize). Restored exactly by LoadState, and WAL replay
+  /// increments on every mutating operation (IngestBatch call,
+  /// Finalize). Restored exactly by LoadState, and WAL replay
   /// re-applies the same operations, so a recovered pipeline reports
   /// the same version as the uncrashed run. Keys the query cache.
   uint64_t kg_version() const REQUIRES_SHARED(kg_mutex_) {
@@ -234,7 +223,7 @@ class KgPipeline {
 
   /// Clones the KG under the shared lock and installs the result as
   /// the current snapshot. Called automatically after every mutating
-  /// operation (ingest call, batch, finalize, state load).
+  /// operation (ingest batch, finalize, state load).
   void PublishSnapshot() EXCLUDES(kg_mutex_);
 
  private:
@@ -264,6 +253,8 @@ class KgPipeline {
   /// BPR refresh); caller must hold kg_mutex_ exclusively.
   void CommitDocument(const Article& article, ExtractedDoc&& doc)
       REQUIRES(kg_mutex_);
+  /// Raises the ad-hoc id counter past N when `id` is "adhoc_N".
+  void AdvanceAdhocCounterPast(std::string_view id);
   /// LoadState body, under the writer lock held by LoadState().
   Status LoadStateLocked(std::string_view payload) REQUIRES(kg_mutex_);
 
@@ -314,7 +305,7 @@ class KgPipeline {
   /// re-render on a later publish, never a wrong pattern set (each
   /// stored set is consistent with some published generation).
   std::atomic<std::shared_ptr<const RenderedPatternSet>> rendered_patterns_;
-  /// Ids for ad-hoc IngestText articles; atomic so concurrent HTTP
+  /// Ids for ad-hoc text articles; atomic so concurrent HTTP
   /// ingest callers get distinct ids without taking the write lock
   /// early.
   std::atomic<size_t> adhoc_counter_{0};

@@ -40,8 +40,7 @@ Counter* CheckpointFailures() {
 LatencyHistogram* GroupCommitSize() {
   static LatencyHistogram* h = MetricsRegistry::Global().GetHistogram(
       "nous_wal_group_commit_size",
-      "WAL seqs each group-commit fsync made durable (FsyncPolicy "
-      "kAlways)",
+      "WAL seqs each group-commit sync made durable",
       {1, 2, 4, 8, 16, 32, 64, 128});
   return h;
 }
@@ -108,23 +107,18 @@ Result<DurabilityManager::RecoveredState> DurabilityManager::Recover() {
   return state;
 }
 
-Status DurabilityManager::OpenWalFile() {
-  WalOptions wal_options;
-  // Under kAlways the writer never syncs by itself: WaitDurable
-  // group-commits through wal_.Flush() instead.
-  wal_options.fsync_policy =
-      group_commit() ? FsyncPolicy::kNever : options_.fsync_policy;
-  wal_options.fsync_interval_records = options_.fsync_interval_records;
-  return wal_.Open(wal_path(), wal_options);
+Status DurabilityManager::SyncWal() const {
+  if (options_.fsync_policy == FsyncPolicy::kNever) return Status::Ok();
+  return wal_.Flush();
 }
 
 Status DurabilityManager::OpenWal(uint64_t last_applied_seq,
                                   uint64_t kg_version) {
   NOUS_RETURN_IF_ERROR(EnsureDirectory(options_.dir));
-  NOUS_RETURN_IF_ERROR(OpenWalFile());
+  NOUS_RETURN_IF_ERROR(wal_.Open(wal_path()));
   // Recovery may have replayed records a crashed writer appended but
   // never synced; make them durable before calling them so.
-  if (group_commit()) NOUS_RETURN_IF_ERROR(wal_.Flush());
+  NOUS_RETURN_IF_ERROR(SyncWal());
   last_logged_seq_ = last_applied_seq;
   batches_since_checkpoint_ = 0;
   MutexLock lock(sync_mutex_);
@@ -139,7 +133,7 @@ Result<uint64_t> DurabilityManager::LogBatch(std::string_view payload) {
   if (!wal_.is_open()) {
     return Status::FailedPrecondition("durability: WAL not open");
   }
-  if (group_commit()) {
+  {
     MutexLock lock(sync_mutex_);
     if (!sync_error_.ok()) return sync_error_;
   }
@@ -160,15 +154,10 @@ void DurabilityManager::MarkApplied(uint64_t seq, uint64_t kg_version) {
   MutexLock lock(sync_mutex_);
   applied_seq_ = seq;
   applied_version_ = kg_version;
-  if (group_commit()) {
-    sync_cv_.notify_all();
-  } else {
-    SetDurableLocked(seq, kg_version);
-  }
+  sync_cv_.notify_all();
 }
 
 Status DurabilityManager::WaitDurable(uint64_t seq, bool batch_queued) {
-  if (!group_commit()) return Status::Ok();
   UniqueLock lock(sync_mutex_);
   bool may_defer = batch_queued;
   while (durable_seq_ < seq) {
@@ -185,13 +174,13 @@ Status DurabilityManager::WaitDurable(uint64_t seq, bool batch_queued) {
     }
     if (may_defer && !pending_syncs_.empty() && applied_seq_ == seq) {
       // The device is busy anyway and the next writer is about to
-      // commit: wait (once) for its batch, or for an in-flight fsync
-      // to retire, so that one fsync covers both batches.
+      // commit: wait (once) for its batch, or for an in-flight sync
+      // to retire, so that one sync covers both batches.
       may_defer = false;
       sync_cv_.wait(lock.std_lock());
       continue;
     }
-    // No fsync in flight covers `seq`: run one for every seq applied
+    // No sync in flight covers `seq`: run one for every seq applied
     // so far. Writes to the fd before this point are all covered.
     const uint64_t ticket = first_pending_ticket_ + pending_syncs_.size();
     PendingSync& pending = pending_syncs_.emplace_back();
@@ -199,13 +188,13 @@ Status DurabilityManager::WaitDurable(uint64_t seq, bool batch_queued) {
     pending.kg_version = applied_version_;
     sync_started_upto_ = applied_seq_;
     lock.std_lock().unlock();
-    Status status = wal_.Flush();
+    Status status = SyncWal();
     lock.std_lock().lock();
     PendingSync& mine = pending_syncs_[ticket - first_pending_ticket_];
     mine.done = true;
     mine.status = std::move(status);
-    // Retire in start order: seqs an earlier fsync covered are durable
-    // only once that fsync, not merely a later one, has succeeded.
+    // Retire in start order: seqs an earlier sync covered are durable
+    // only once that sync, not merely a later one, has succeeded.
     while (!pending_syncs_.empty() && pending_syncs_.front().done) {
       const PendingSync& front = pending_syncs_.front();
       if (!front.status.ok()) {
@@ -240,7 +229,7 @@ Status DurabilityManager::WriteCheckpoint(
   span.Attr("state_bytes", state.size());
   {
     // The WAL file is about to be closed and replaced: wait out every
-    // in-flight fsync on it and hold off new ones until it is back.
+    // in-flight sync on it and hold off new ones until it is back.
     UniqueLock lock(sync_mutex_);
     if (!sync_error_.ok()) return sync_error_;
     checkpointing_ = true;
@@ -251,7 +240,7 @@ Status DurabilityManager::WriteCheckpoint(
   checkpointing_ = false;
   if (status.ok()) {
     // The image covers every logged record, so it is the new durable
-    // point; no fsync is in flight to cover anything past it.
+    // point; no sync is in flight to cover anything past it.
     applied_seq_ = last_logged_seq_;
     applied_version_ = kg_version;
     sync_started_upto_ = last_logged_seq_;
@@ -280,7 +269,7 @@ Status DurabilityManager::ResetToCheckpoint(
   if (was_open) NOUS_RETURN_IF_ERROR(wal_.Close());
   NOUS_RETURN_IF_ERROR(RemoveFile(wal_path()));
   NOUS_RETURN_IF_ERROR(FsyncParentDir(wal_path()));
-  if (was_open) NOUS_RETURN_IF_ERROR(OpenWalFile());
+  if (was_open) NOUS_RETURN_IF_ERROR(wal_.Open(wal_path()));
   batches_since_checkpoint_ = 0;
   Checkpoints()->Increment();
   return Status::Ok();
@@ -295,8 +284,8 @@ Status DurabilityManager::InstallCheckpoint(
 
 Status DurabilityManager::Close() {
   if (!wal_.is_open()) return Status::Ok();
-  // A group-commit WAL may end in appends nobody waited on yet.
-  Status flushed = group_commit() ? wal_.Flush() : Status::Ok();
+  // The WAL may end in appends nobody waited on yet.
+  Status flushed = SyncWal();
   Status closed = wal_.Close();
   return flushed.ok() ? closed : flushed;
 }

@@ -16,13 +16,19 @@
 
 namespace nous {
 
+/// Whether a group-commit sync forces the WAL to stable storage. The
+/// commit protocol is the same under both.
+enum class FsyncPolicy {
+  kAlways,  ///< fsync(2): an acknowledged batch is on stable storage
+  kNever,   ///< no fsync, rely on the OS page cache (tests / throwaway
+            ///< runs)
+};
+
 /// Knobs for crash-safe ingest (Nous::Options::durability).
 struct DurabilityOptions {
   /// Directory holding wal.log + checkpoint.nous. Created on demand.
   std::string dir;
-  FsyncPolicy fsync_policy = FsyncPolicy::kInterval;
-  /// WAL appends between fsyncs under kInterval.
-  size_t fsync_interval_records = 16;
+  FsyncPolicy fsync_policy = FsyncPolicy::kAlways;
   /// Logged batches between automatic checkpoints (0 = checkpoint only
   /// when Nous::Checkpoint() is called).
   size_t checkpoint_interval_batches = 0;
@@ -43,15 +49,16 @@ struct DurabilityOptions {
 ///               seq > checkpoint.last_applied_seq, torn tail dropped
 ///               and the file truncated to its valid prefix.
 ///
-/// Group commit (FsyncPolicy::kAlways): LogBatch only appends. A
-/// writer then waits in WaitDurable, outside the ingest mutex; the
-/// first waiter that finds no in-flight fsync covering its seq fsyncs
-/// the WAL for every seq applied so far — first waiting once for a
-/// writer already queued behind it, when an fsync is in flight anyway
-/// — so concurrent writers share fsyncs. The WAL is written in order,
-/// so one durable watermark suffices; fsyncs retire into it in the
-/// order they started. An fsync error is sticky: it fails every
-/// waiter not yet covered and every later LogBatch and checkpoint.
+/// Group commit: LogBatch only appends. A writer then waits in
+/// WaitDurable, outside the ingest mutex; the first waiter that finds
+/// no in-flight sync covering its seq syncs the WAL for every seq
+/// applied so far — first waiting once for a writer already queued
+/// behind it, when a sync is in flight anyway — so concurrent writers
+/// share syncs. The WAL is written in order, so one durable watermark
+/// suffices; syncs retire into it in the order they started. A sync
+/// error is sticky: it fails every waiter not yet covered and every
+/// later LogBatch and checkpoint. The fsync policy decides only
+/// whether a sync issues fsync(2) (SyncWal).
 ///
 /// Threading: WaitDurable is internally synchronized. Every other
 /// mutating call must be serialized by the caller (Nous holds its
@@ -59,10 +66,10 @@ struct DurabilityOptions {
 class DurabilityManager {
  public:
   /// Receives the durable point — (seq, KG version) — each time it
-  /// moves: an fsync covered more seqs, a checkpoint or OpenWal
-  /// re-anchored it, or (kInterval/kNever) a batch was applied. Runs
-  /// under the manager's sync mutex, so calls arrive in order; it must
-  /// only publish (e.g. store atomics), never call back in.
+  /// moves: a sync covered more seqs, or a checkpoint or OpenWal
+  /// re-anchored it. Runs under the manager's sync mutex, so calls
+  /// arrive in order; it must only publish (e.g. store atomics), never
+  /// call back in.
   using DurableHook = std::function<void(uint64_t seq, uint64_t kg_version)>;
 
   explicit DurabilityManager(DurabilityOptions options,
@@ -95,24 +102,23 @@ class DurabilityManager {
   /// `last_applied_seq` at `kg_version` — is the initial durable point.
   Status OpenWal(uint64_t last_applied_seq, uint64_t kg_version = 0);
 
-  /// Appends one encoded batch and applies the fsync policy (kAlways:
-  /// none here, see WaitDurable). On success returns the batch's
-  /// sequence number; on failure nothing was committed and the caller
-  /// must not acknowledge the batch.
+  /// Appends one encoded batch (it becomes durable in WaitDurable).
+  /// On success returns the batch's sequence number; on failure
+  /// nothing was committed and the caller must not acknowledge the
+  /// batch.
   Result<uint64_t> LogBatch(std::string_view payload);
 
   /// Records that the last logged batch, `seq`, is applied and left
-  /// the KG at `kg_version`. Under kAlways the pair becomes durable
-  /// once an fsync covers it; otherwise at once.
+  /// the KG at `kg_version`. The pair becomes durable once a sync
+  /// covers it.
   void MarkApplied(uint64_t seq, uint64_t kg_version);
 
-  /// Blocks until an fsync covering `seq` has returned, running one
-  /// itself when none in flight covers it. Returns at once unless the
-  /// policy is kAlways. Call without the ingest mutex, so concurrent
-  /// writers share fsyncs. `batch_queued` says another writer is
-  /// already waiting to commit: while an fsync is in flight anyway,
-  /// the waiter then first gives that batch the chance to be applied,
-  /// so one fsync covers both.
+  /// Blocks until a sync covering `seq` has returned, running one
+  /// itself when none in flight covers it. Call without the ingest
+  /// mutex, so concurrent writers share syncs. `batch_queued` says
+  /// another writer is already waiting to commit: while a sync is in
+  /// flight anyway, the waiter then first gives that batch the chance
+  /// to be applied, so one sync covers both.
   Status WaitDurable(uint64_t seq, bool batch_queued = false);
 
   /// True when checkpoint_interval_batches have been logged since the
@@ -123,9 +129,9 @@ class DurabilityManager {
   /// covering everything logged so far, at KG version `kg_version`,
   /// then resets the WAL to empty. `on_persisted`, when set, runs
   /// between the two: a WAL tailer that sees the reset can rely on
-  /// having heard of the checkpoint first. Waits out in-flight fsyncs
+  /// having heard of the checkpoint first. Waits out in-flight syncs
   /// and holds off new ones meanwhile; on success (last logged seq,
-  /// kg_version) is the durable point. Refused after an fsync error.
+  /// kg_version) is the durable point. Refused after a sync error.
   Status WriteCheckpoint(std::string state, uint64_t kg_version,
                          const std::function<void()>& on_persisted = {});
 
@@ -138,6 +144,7 @@ class DurabilityManager {
                            std::string state,
                            const std::function<void()>& on_persisted = {});
 
+  /// Syncs the WAL under the policy, then closes it.
   Status Close();
 
   uint64_t last_logged_seq() const { return last_logged_seq_; }
@@ -146,10 +153,9 @@ class DurabilityManager {
   const DurabilityOptions& options() const { return options_; }
 
  private:
-  bool group_commit() const {
-    return options_.fsync_policy == FsyncPolicy::kAlways;
-  }
-  Status OpenWalFile();
+  /// One WAL sync: fsync(2) under kAlways, nothing under kNever. Const
+  /// and fd-only, so WaitDurable runs it outside sync_mutex_.
+  Status SyncWal() const;
   /// WriteCheckpoint's file work: persist the image, reset the WAL.
   Status ResetToCheckpoint(std::string state,
                            const std::function<void()>& on_persisted);
@@ -159,9 +165,9 @@ class DurabilityManager {
 
   DurabilityOptions options_;
   DurableHook on_durable_;
-  /// Appended under the caller's serialization; under group commit a
-  /// waiter also calls wal_.Flush() (const, fd only) concurrently.
-  /// Open/Close happen only with no fsync in flight (checkpointing_).
+  /// Appended under the caller's serialization; a waiter also calls
+  /// SyncWal() (const, fd only) concurrently. Open/Close happen only
+  /// with no sync in flight (checkpointing_).
   WalWriter wal_;
   uint64_t last_logged_seq_ = 0;
   uint64_t batches_since_checkpoint_ = 0;
@@ -169,31 +175,31 @@ class DurabilityManager {
   /// Group-commit state.
   AnnotatedMutex sync_mutex_;
   std::condition_variable sync_cv_;
-  /// Last (seq, version) marked applied: what the next fsync covers.
+  /// Last (seq, version) marked applied: what the next sync covers.
   uint64_t applied_seq_ GUARDED_BY(sync_mutex_) = 0;
   uint64_t applied_version_ GUARDED_BY(sync_mutex_) = 0;
-  /// The durable point. Under kAlways every seq <= durable_seq_ is on
-  /// stable storage; otherwise it follows applied_seq_.
+  /// The durable point: a returned sync covered every seq <=
+  /// durable_seq_ (under kAlways, it is on stable storage).
   uint64_t durable_seq_ GUARDED_BY(sync_mutex_) = 0;
-  /// Highest seq any fsync started to cover. A seq in
-  /// (durable_seq_, sync_started_upto_] has a covering fsync pending.
+  /// Highest seq any sync started to cover. A seq in
+  /// (durable_seq_, sync_started_upto_] has a covering sync pending.
   uint64_t sync_started_upto_ GUARDED_BY(sync_mutex_) = 0;
-  /// One started fsync and the durable point it would set.
+  /// One started sync and the durable point it would set.
   struct PendingSync {
     uint64_t upto = 0;
     uint64_t kg_version = 0;
     bool done = false;
     Status status;
   };
-  /// Started fsyncs in start order. Each retires only after every
-  /// earlier one, so a later fsync never vouches for seqs an earlier,
+  /// Started syncs in start order. Each retires only after every
+  /// earlier one, so a later sync never vouches for seqs an earlier,
   /// failed one covered.
   std::deque<PendingSync> pending_syncs_ GUARDED_BY(sync_mutex_);
   /// Ticket (start number) of pending_syncs_.front().
   uint64_t first_pending_ticket_ GUARDED_BY(sync_mutex_) = 0;
-  /// True while a checkpoint resets the WAL; no fsync may start.
+  /// True while a checkpoint resets the WAL; no sync may start.
   bool checkpointing_ GUARDED_BY(sync_mutex_) = false;
-  /// First fsync failure; sticky.
+  /// First sync failure; sticky.
   Status sync_error_ GUARDED_BY(sync_mutex_);
 };
 

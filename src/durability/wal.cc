@@ -54,21 +54,15 @@ Status WriteAllFd(int fd, const char* data, size_t size,
 
 WalWriter::~WalWriter() { Close().ok(); }
 
-Status WalWriter::Open(const std::string& path, const WalOptions& options) {
+Status WalWriter::Open(const std::string& path) {
   if (is_open()) {
     return Status::FailedPrecondition("WAL already open: " + path_);
-  }
-  options_ = options;
-  if (options_.fsync_interval_records == 0) {
-    options_.fsync_interval_records = 1;
   }
   int fd = ::open(path.c_str(), O_CREAT | O_WRONLY | O_APPEND | O_CLOEXEC,
                   0644);
   if (fd < 0) return Status::Internal(Errno("open", path));
   fd_ = fd;
   path_ = path;
-  appended_records_ = 0;
-  records_since_sync_ = 0;
   // The file needs the magic if it is new OR empty — recovery truncates
   // a log whose tail tore inside the magic itself down to zero bytes,
   // and appending frames to a magic-less file would poison every later
@@ -88,7 +82,7 @@ Status WalWriter::Open(const std::string& path, const WalOptions& options) {
       status = WriteAllFd(fd_, kWalFileMagic, sizeof(kWalFileMagic),
                           path_);
     }
-    if (status.ok()) status = Sync();
+    if (status.ok()) status = Flush();
     if (!status.ok()) {
       Close().ok();
       return status;
@@ -99,8 +93,8 @@ Status WalWriter::Open(const std::string& path, const WalOptions& options) {
 
 Status WalWriter::Append(uint64_t seq, std::string_view payload) {
   if (!is_open()) return Status::FailedPrecondition("WAL not open");
-  // Covers frame build + write + the fsync policy (Sync() nests its
-  // own wal_fsync span under this one).
+  // Covers frame build + write; the fsync is Flush()'s own wal_fsync
+  // span.
   NOUS_SPAN_VAR(span, "wal_append");
   span.Attr("bytes", payload.size());
   const uint32_t len = static_cast<uint32_t>(payload.size());
@@ -130,28 +124,7 @@ Status WalWriter::Append(uint64_t seq, std::string_view payload) {
   }
 
   NOUS_RETURN_IF_ERROR(WriteAllFd(fd_, frame.data().data(), persist, path_));
-  if (!injected.ok()) return injected;  // torn frame is on disk, unacked
-
-  ++appended_records_;
-  ++records_since_sync_;
-  switch (options_.fsync_policy) {
-    case FsyncPolicy::kAlways:
-      return Sync();
-    case FsyncPolicy::kInterval:
-      if (records_since_sync_ >= options_.fsync_interval_records) {
-        return Sync();
-      }
-      return Status::Ok();
-    case FsyncPolicy::kNever:
-      return Status::Ok();
-  }
-  return Status::Ok();
-}
-
-Status WalWriter::Sync() {
-  NOUS_RETURN_IF_ERROR(Flush());
-  records_since_sync_ = 0;
-  return Status::Ok();
+  return injected;  // OK, or the torn fault: a frame prefix hit the file
 }
 
 Status WalWriter::Flush() const {
@@ -172,10 +145,7 @@ Status WalWriter::Flush() const {
 Status WalWriter::Close() {
   if (!is_open()) return Status::Ok();
   Status status;
-  if (options_.fsync_policy != FsyncPolicy::kNever) {
-    status = Sync();
-  }
-  ::close(fd_);
+  if (::close(fd_) != 0) status = Status::Internal(Errno("close", path_));
   fd_ = -1;
   if (auto fault = FaultInjector::Global().Hit("wal_close")) {
     if (fault->kind == FaultKind::kTruncate && fault->arg > 0) {

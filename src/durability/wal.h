@@ -10,19 +10,6 @@
 
 namespace nous {
 
-/// When the WAL forces appended records to stable storage.
-enum class FsyncPolicy {
-  kAlways,    ///< fsync after every append (durable to the last batch)
-  kInterval,  ///< fsync every `fsync_interval_records` appends
-  kNever,     ///< rely on the OS page cache (tests / throwaway runs)
-};
-
-struct WalOptions {
-  FsyncPolicy fsync_policy = FsyncPolicy::kInterval;
-  /// Appends between fsyncs under kInterval (>= 1).
-  size_t fsync_interval_records = 16;
-};
-
 /// One committed record recovered from the log.
 struct WalRecord {
   uint64_t seq = 0;
@@ -67,41 +54,34 @@ class WalWriter {
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
-  /// Opens `path` for append, creating it (with the file magic) when
-  /// absent. An existing file is trusted as-is: recovery must have
-  /// already truncated any torn tail (WalReader::ReadAll +
+  /// Opens `path` for append, creating it (with the file magic,
+  /// fsynced) when absent. An existing file is trusted as-is: recovery
+  /// must have already truncated any torn tail (WalReader::ReadAll +
   /// TruncateFile(valid_bytes)).
-  Status Open(const std::string& path, const WalOptions& options);
+  Status Open(const std::string& path);
 
-  /// Appends one record and applies the fsync policy. On any error the
-  /// record is NOT committed — the caller must not acknowledge the
-  /// batch, and the file may hold a torn frame that the next
-  /// recovery's CRC scan will drop.
+  /// Appends one record; it reaches stable storage only with a later
+  /// Flush(). On any error the record is NOT committed — the caller
+  /// must not acknowledge the batch, and the file may hold a torn
+  /// frame that the next recovery's CRC scan will drop.
   Status Append(uint64_t seq, std::string_view payload);
 
-  /// Forces everything appended so far to stable storage.
-  Status Sync();
-
-  /// Sync() without touching any writer state: fsyncs the writer's own
-  /// fd, so it may run on another thread while Append writes the next
-  /// frame (DurabilityManager's group commit). Open/Close must not run
+  /// Forces everything appended so far to stable storage: the writer's
+  /// only fsync after Open. Touches no writer state, so it may run on
+  /// another thread while Append writes the next frame
+  /// (DurabilityManager's group commit). Open/Close must not run
   /// concurrently with it.
   Status Flush() const;
 
-  /// Syncs (best effort) and closes the file. Idempotent.
+  /// Closes the file without syncing it. Idempotent.
   Status Close();
 
   bool is_open() const { return fd_ >= 0; }
   const std::string& path() const { return path_; }
-  /// Records appended since Open (not counting pre-existing ones).
-  uint64_t appended_records() const { return appended_records_; }
 
  private:
   int fd_ = -1;
   std::string path_;
-  WalOptions options_;
-  uint64_t appended_records_ = 0;
-  size_t records_since_sync_ = 0;
 };
 
 /// Reads every intact record of a WAL file. Never fails on torn or

@@ -95,7 +95,7 @@ TEST(WalTest, RoundTripsRecords) {
       "tail"};
   {
     WalWriter writer;
-    ASSERT_TRUE(writer.Open(path, WalOptions{}).ok());
+    ASSERT_TRUE(writer.Open(path).ok());
     for (size_t i = 0; i < payloads.size(); ++i) {
       ASSERT_TRUE(writer.Append(i + 1, payloads[i]).ok());
     }
@@ -125,7 +125,7 @@ TEST(WalTest, TruncationAtEveryByteKeepsExactlyTheCommittedPrefix) {
   std::string path = dir + "/wal.log";
   {
     WalWriter writer;
-    ASSERT_TRUE(writer.Open(path, WalOptions{}).ok());
+    ASSERT_TRUE(writer.Open(path).ok());
     ASSERT_TRUE(writer.Append(1, "alpha payload").ok());
     ASSERT_TRUE(writer.Append(2, "beta").ok());
     ASSERT_TRUE(writer.Append(3, std::string(40, 'c')).ok());
@@ -162,7 +162,7 @@ TEST(WalTest, MidFileCorruptionDropsEverythingAfterIt) {
   std::string path = dir + "/wal.log";
   {
     WalWriter writer;
-    ASSERT_TRUE(writer.Open(path, WalOptions{}).ok());
+    ASSERT_TRUE(writer.Open(path).ok());
     ASSERT_TRUE(writer.Append(1, "intact record").ok());
     ASSERT_TRUE(writer.Append(2, "soon to be flipped").ok());
     ASSERT_TRUE(writer.Append(3, "unreachable after the flip").ok());
@@ -198,7 +198,7 @@ TEST(WalTest, ReopeningAnEmptyFileRewritesTheMagic) {
   std::string path = dir + "/wal.log";
   WriteFile(path, "");
   WalWriter writer;
-  ASSERT_TRUE(writer.Open(path, WalOptions{}).ok());
+  ASSERT_TRUE(writer.Open(path).ok());
   ASSERT_TRUE(writer.Append(1, "after reset").ok());
   ASSERT_TRUE(writer.Close().ok());
   auto read = WalReader::ReadAll(path);
@@ -212,7 +212,7 @@ TEST(WalTest, TornAppendFaultIsDroppedAndTheLogStaysAppendable) {
   std::string dir = FreshDir("wal_torn_fault");
   std::string path = dir + "/wal.log";
   WalWriter writer;
-  ASSERT_TRUE(writer.Open(path, WalOptions{}).ok());
+  ASSERT_TRUE(writer.Open(path).ok());
   ASSERT_TRUE(writer.Append(1, "committed").ok());
   FaultInjector::Global().Arm("wal_append", FaultKind::kTorn, 1);
   EXPECT_FALSE(writer.Append(2, "torn in half").ok());
@@ -228,7 +228,7 @@ TEST(WalTest, TornAppendFaultIsDroppedAndTheLogStaysAppendable) {
   // Recovery protocol: truncate to the valid prefix, reopen, append.
   ASSERT_TRUE(TruncateFile(path, read->valid_bytes).ok());
   WalWriter again;
-  ASSERT_TRUE(again.Open(path, WalOptions{}).ok());
+  ASSERT_TRUE(again.Open(path).ok());
   ASSERT_TRUE(again.Append(2, "retried").ok());
   ASSERT_TRUE(again.Close().ok());
   auto reread = WalReader::ReadAll(path);
@@ -242,7 +242,7 @@ TEST(WalTest, FailedAppendFaultWritesNothing) {
   std::string dir = FreshDir("wal_fail_fault");
   std::string path = dir + "/wal.log";
   WalWriter writer;
-  ASSERT_TRUE(writer.Open(path, WalOptions{}).ok());
+  ASSERT_TRUE(writer.Open(path).ok());
   FaultInjector::Global().Arm("wal_append", FaultKind::kFail, 1);
   EXPECT_FALSE(writer.Append(1, "never lands").ok());
   ASSERT_TRUE(writer.Close().ok());
@@ -1182,49 +1182,78 @@ class GroupCommitTest : public DurabilityPipelineFixture {
     return ok.load();
   }
 
+  Nous::Options PolicyOptions(const std::string& dir, FsyncPolicy policy) {
+    Nous::Options options = DurableOptions(dir);
+    options.durability.fsync_policy = policy;
+    return options;
+  }
+
+  /// Acks every ingest path (Ingest, IngestBatch, IngestText, and a
+  /// follower's ApplyReplicatedBatch) under `policy` and checks each
+  /// ack came only after a sync covered its seq. The ack contract holds
+  /// under both fsync policies: they run one group-commit protocol and
+  /// differ only in whether a sync issues fsync(2).
+  void ExpectEveryIngestPathAcksAfterItsSync(FsyncPolicy policy) {
+    std::string leader_dir = FreshDir("group_ack_leader");
+    std::string follower_dir = FreshDir("group_ack_follower");
+    auto articles = MakeArticles();
+    auto batches = MakeBatches(articles, 2);
+    ASSERT_EQ(batches.size(), 2u);
+
+    Nous leader(&kb_, PolicyOptions(leader_dir, policy));
+    ASSERT_TRUE(leader.EnableDurability().ok());
+    Nous follower(&kb_, PolicyOptions(follower_dir, policy));
+    ASSERT_TRUE(follower.EnableDurability().ok());
+    // Counted after both WALs exist: creating one fsyncs its magic.
+    const uint64_t fsyncs = FsyncCount();
+
+    CommitRecorder recorder(&leader);
+    leader.SetCommitListener(&recorder);
+    // One writer: nothing else can run a sync between a commit and its
+    // own wait, so the commit-time check below is exact.
+    ASSERT_TRUE(leader.Ingest(articles[0]).ok());
+    EXPECT_EQ(leader.last_durable_seq(), 1u);
+    ASSERT_TRUE(leader.IngestBatch(batches[1]).ok());
+    EXPECT_EQ(leader.last_durable_seq(), 2u);
+    ASSERT_TRUE(
+        leader.IngestText("DJI acquired SkyWard Labs.", Date{2016, 1, 1}, "cli")
+            .ok());
+    EXPECT_EQ(leader.last_durable_seq(), 3u);
+    leader.SetCommitListener(nullptr);
+    EXPECT_EQ(recorder.covered_before_fsync(), 0u);
+
+    // A follower applying the shipped batches acks the same way.
+    CommitRecorder follower_recorder(&follower);
+    follower.SetCommitListener(&follower_recorder);
+    for (const auto& commit : recorder.commits()) {
+      ASSERT_TRUE(follower
+                      .ApplyReplicatedBatch(commit.seq, commit.payload,
+                                            commit.kg_version)
+                      .ok());
+      EXPECT_EQ(follower.last_durable_seq(), commit.seq);
+      EXPECT_EQ(follower.durable_kg_version(), commit.kg_version);
+    }
+    follower.SetCommitListener(nullptr);
+    EXPECT_EQ(follower_recorder.covered_before_fsync(), 0u);
+    EXPECT_EQ(GraphBytes(follower), GraphBytes(leader));
+
+    // kAlways: every ack above waited on a real fsync. kNever: none did.
+    if (policy == FsyncPolicy::kAlways) {
+      EXPECT_GT(FsyncCount(), fsyncs);
+    } else {
+      EXPECT_EQ(FsyncCount(), fsyncs);
+    }
+  }
+
   static constexpr size_t kWriters = 8;
 };
 
 TEST_F(GroupCommitTest, EveryIngestPathAcksOnlyAfterItsFsync) {
-  std::string leader_dir = FreshDir("group_ack_leader");
-  std::string follower_dir = FreshDir("group_ack_follower");
-  auto articles = MakeArticles();
-  auto batches = MakeBatches(articles, 2);
-  ASSERT_EQ(batches.size(), 2u);
+  ExpectEveryIngestPathAcksAfterItsSync(FsyncPolicy::kAlways);
+}
 
-  Nous leader(&kb_, AlwaysOptions(leader_dir));
-  ASSERT_TRUE(leader.EnableDurability().ok());
-  CommitRecorder recorder(&leader);
-  leader.SetCommitListener(&recorder);
-  // One writer: nothing else can run an fsync between a commit and
-  // its own wait, so the commit-time check below is exact.
-  ASSERT_TRUE(leader.Ingest(articles[0]).ok());
-  EXPECT_EQ(leader.last_durable_seq(), 1u);
-  ASSERT_TRUE(leader.IngestBatch(batches[1]).ok());
-  EXPECT_EQ(leader.last_durable_seq(), 2u);
-  ASSERT_TRUE(
-      leader.IngestText("DJI acquired SkyWard Labs.", Date{2016, 1, 1}, "cli")
-          .ok());
-  EXPECT_EQ(leader.last_durable_seq(), 3u);
-  leader.SetCommitListener(nullptr);
-  EXPECT_EQ(recorder.covered_before_fsync(), 0u);
-
-  // A follower applying the shipped batches acks the same way.
-  Nous follower(&kb_, AlwaysOptions(follower_dir));
-  ASSERT_TRUE(follower.EnableDurability().ok());
-  CommitRecorder follower_recorder(&follower);
-  follower.SetCommitListener(&follower_recorder);
-  for (const auto& commit : recorder.commits()) {
-    ASSERT_TRUE(follower
-                    .ApplyReplicatedBatch(commit.seq, commit.payload,
-                                          commit.kg_version)
-                    .ok());
-    EXPECT_EQ(follower.last_durable_seq(), commit.seq);
-    EXPECT_EQ(follower.durable_kg_version(), commit.kg_version);
-  }
-  follower.SetCommitListener(nullptr);
-  EXPECT_EQ(follower_recorder.covered_before_fsync(), 0u);
-  EXPECT_EQ(GraphBytes(follower), GraphBytes(leader));
+TEST_F(GroupCommitTest, NeverPolicyAcksOnlyAfterItsSync) {
+  ExpectEveryIngestPathAcksAfterItsSync(FsyncPolicy::kNever);
 }
 
 TEST_F(GroupCommitTest, ConcurrentWritersShareFsyncsAndRecoverBitIdentical) {
@@ -1319,6 +1348,90 @@ TEST_F(GroupCommitTest, CheckpointCadenceUnderConcurrentWritersCompletes) {
   EXPECT_TRUE(stats->restored_checkpoint);
   EXPECT_LT(stats->replayed_batches, 3u);
   EXPECT_EQ(GraphBytes(recovered), live_bytes);
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoints reach the commit listener on every commit path
+
+/// Records each commit and checkpoint it hears, plus the last WAL seq
+/// still on disk when it heard the checkpoint: the WAL must be reset
+/// only after the listener heard of the image that replaces it.
+class CheckpointRecorder : public CommitListener {
+ public:
+  explicit CheckpointRecorder(std::string wal_path)
+      : wal_path_(std::move(wal_path)) {}
+
+  void OnCommit(uint64_t seq, const std::string& payload,
+                uint64_t kg_version) override {
+    commits.push_back({seq, payload, kg_version});
+  }
+  void OnCheckpoint(uint64_t seq, const std::string&,
+                    uint64_t kg_version) override {
+    auto wal = WalReader::ReadAll(wal_path_);
+    ASSERT_TRUE(wal.ok()) << wal.status();
+    checkpoints.push_back(
+        {seq, kg_version, wal->records.empty() ? 0 : wal->records.back().seq});
+  }
+
+  struct Heard {
+    uint64_t seq;
+    std::string payload;
+    uint64_t kg_version;
+  };
+  struct Checkpoint {
+    uint64_t seq;
+    uint64_t kg_version;
+    uint64_t wal_last_seq;
+  };
+  std::vector<Heard> commits;
+  std::vector<Checkpoint> checkpoints;
+
+ private:
+  std::string wal_path_;
+};
+
+class CommitListenerTest : public DurabilityPipelineFixture {};
+
+TEST_F(CommitListenerTest, FollowerAutoCheckpointIsHeardBeforeTheWalReset) {
+  std::string leader_dir = FreshDir("listener_leader");
+  std::string follower_dir = FreshDir("listener_follower");
+  auto articles = MakeArticles();
+  ASSERT_GE(articles.size(), 5u);
+
+  Nous leader(&kb_, DurableOptions(leader_dir));
+  ASSERT_TRUE(leader.EnableDurability().ok());
+  CheckpointRecorder shipped(leader_dir + "/wal.log");
+  leader.SetCommitListener(&shipped);
+  for (size_t i = 0; i < 5; ++i) ASSERT_TRUE(leader.Ingest(articles[i]).ok());
+  leader.SetCommitListener(nullptr);
+  ASSERT_EQ(shipped.commits.size(), 5u);
+  EXPECT_TRUE(shipped.checkpoints.empty());
+
+  Nous follower(&kb_, DurableOptions(follower_dir,
+                                     /*checkpoint_interval=*/2));
+  ASSERT_TRUE(follower.EnableDurability().ok());
+  CheckpointRecorder heard(follower_dir + "/wal.log");
+  follower.SetCommitListener(&heard);
+  for (const auto& commit : shipped.commits) {
+    ASSERT_TRUE(follower
+                    .ApplyReplicatedBatch(commit.seq, commit.payload,
+                                          commit.kg_version)
+                    .ok());
+  }
+  follower.SetCommitListener(nullptr);
+
+  // Every second batch triggers a checkpoint covering it, heard at the
+  // KG version that batch left, while the WAL still held the batch.
+  ASSERT_EQ(heard.checkpoints.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    const uint64_t seq = 2 * (i + 1);
+    EXPECT_EQ(heard.checkpoints[i].seq, seq);
+    EXPECT_EQ(heard.checkpoints[i].kg_version,
+              shipped.commits[seq - 1].kg_version);
+    EXPECT_EQ(heard.checkpoints[i].wal_last_seq, seq);
+  }
+  EXPECT_EQ(heard.commits.size(), 5u);
+  EXPECT_EQ(GraphBytes(follower), GraphBytes(leader));
 }
 
 }  // namespace

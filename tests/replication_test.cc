@@ -207,7 +207,7 @@ TEST(WalTailReaderTest, FollowsAppendsPastCleanEndOfLog) {
   std::string dir = FreshDir("tail_appends");
   std::string path = dir + "/wal.log";
   WalWriter writer;
-  ASSERT_TRUE(writer.Open(path, WalOptions{}).ok());
+  ASSERT_TRUE(writer.Open(path).ok());
   ASSERT_TRUE(writer.Append(1, "one").ok());
   ASSERT_TRUE(writer.Append(2, "two").ok());
 
@@ -248,7 +248,7 @@ TEST(WalTailReaderTest, MissingFileIsEndOfLogUntilItAppears) {
   EXPECT_EQ(event->kind, WalTailReader::EventKind::kEndOfLog);
 
   WalWriter writer;
-  ASSERT_TRUE(writer.Open(path, WalOptions{}).ok());
+  ASSERT_TRUE(writer.Open(path).ok());
   ASSERT_TRUE(writer.Append(1, "late").ok());
   event = tail.Next();
   ASSERT_TRUE(event.ok());
@@ -262,7 +262,7 @@ TEST(WalTailReaderTest, FileSwapReportsResetThenReadsTheNewLog) {
   std::string path = dir + "/wal.log";
   {
     WalWriter writer;
-    ASSERT_TRUE(writer.Open(path, WalOptions{}).ok());
+    ASSERT_TRUE(writer.Open(path).ok());
     ASSERT_TRUE(writer.Append(1, "old").ok());
     ASSERT_TRUE(writer.Close().ok());
   }
@@ -275,7 +275,7 @@ TEST(WalTailReaderTest, FileSwapReportsResetThenReadsTheNewLog) {
   ASSERT_TRUE(RemoveFile(path).ok());
   {
     WalWriter writer;
-    ASSERT_TRUE(writer.Open(path, WalOptions{}).ok());
+    ASSERT_TRUE(writer.Open(path).ok());
     ASSERT_TRUE(writer.Append(5, "new").ok());
     ASSERT_TRUE(writer.Close().ok());
   }
@@ -294,7 +294,7 @@ TEST(WalTailReaderTest, TornTrailingFrameIsEndOfLogNotAnError) {
   std::string path = dir + "/wal.log";
   {
     WalWriter writer;
-    ASSERT_TRUE(writer.Open(path, WalOptions{}).ok());
+    ASSERT_TRUE(writer.Open(path).ok());
     ASSERT_TRUE(writer.Append(1, "whole").ok());
     ASSERT_TRUE(writer.Append(2, "will be torn").ok());
     ASSERT_TRUE(writer.Close().ok());

@@ -116,7 +116,7 @@ TEST_F(SnapshotTest, SnapshotAnswersMatchLockedAnswers) {
   // the live graph, with patterns rendered fresh from the live miner.
   // That covers both the COW clone and the pattern render cache.
   Nous::Options options;
-  options.query_cache.enabled = false;
+  options.query_cache.entries = 0;
   Nous nous(&kb_, options);
   for (const Article& a : articles_) NOUS_CHECK_OK(nous.Ingest(a));
   std::shared_ptr<const KgSnapshot> snap = nous.snapshot();
@@ -176,7 +176,7 @@ TEST_F(SnapshotTest, IngestInvalidatesCachedAnswers) {
   // answer.
   Nous cached_nous(&kb_);
   Nous::Options no_cache;
-  no_cache.query_cache.enabled = false;
+  no_cache.query_cache.entries = 0;
   Nous reference(&kb_, no_cache);
   size_t half = articles_.size() / 2;
   for (size_t i = 0; i < half; ++i) {
@@ -233,18 +233,11 @@ TEST_F(SnapshotTest, CacheEvictsLeastRecentlyUsed) {
 
 TEST_F(SnapshotTest, CacheCanBeDisabled) {
   Nous::Options options;
-  options.query_cache.enabled = false;
+  options.query_cache.entries = 0;
   Nous nous(&kb_, options);
   EXPECT_EQ(nous.query_cache(), nullptr);
   for (size_t i = 0; i < 4; ++i) NOUS_CHECK_OK(nous.Ingest(articles_[i]));
   EXPECT_TRUE(nous.Ask("what is trending").ok());
-}
-
-TEST_F(SnapshotTest, ZeroEntriesDisablesCache) {
-  Nous::Options options;
-  options.query_cache.entries = 0;
-  Nous nous(&kb_, options);
-  EXPECT_EQ(nous.query_cache(), nullptr);
 }
 
 TEST_F(SnapshotTest, VersionSurvivesSaveLoadState) {

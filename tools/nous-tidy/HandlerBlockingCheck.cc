@@ -47,8 +47,9 @@ void HandlerBlockingCheck::registerMatchers(MatchFinder *Finder) {
   Finder->addMatcher(
       cxxMemberCallExpr(
           callee(cxxMethodDecl(
-              hasAnyName("Open", "Append", "Sync", "Close", "OpenWal",
-                         "WriteCheckpoint", "SyncWal", "Checkpoint",
+              hasAnyName("Open", "Append", "Flush", "Close", "OpenWal",
+                         "LogBatch", "WaitDurable", "WriteCheckpoint",
+                         "InstallCheckpoint", "Checkpoint",
                          "EnableDurability", "Recover"),
               ofClass(hasAnyName("::nous::WalWriter",
                                  "::nous::DurabilityManager", "::nous::Nous")))),

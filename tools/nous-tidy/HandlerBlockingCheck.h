@@ -20,10 +20,11 @@ namespace nous {
 ///  * take the KG writer lock (WriterMutexLock construction, or a raw
 ///    exclusive lock()/try_lock() on an AnnotatedSharedMutex) — one
 ///    slow handler would stall every reader and the ingest path; or
-///  * call fsync-path durability primitives (WalWriter append/sync,
-///    DurabilityManager checkpointing, AtomicWriteFile/FsyncParentDir,
-///    Nous::Checkpoint/EnableDurability/Recover) — disk latency would
-///    ride on the request path.
+///  * call fsync-path durability primitives (WalWriter append/flush,
+///    DurabilityManager logging, group-commit waits and checkpoints,
+///    AtomicWriteFile/FsyncParentDir, Nous::Checkpoint/
+///    EnableDurability/Recover) — disk latency would ride on the
+///    request path.
 ///
 /// Handlers that need durable ingest delegate to the Nous facade
 /// (e.g. IngestText), which owns its locking and WAL discipline;

@@ -10,7 +10,7 @@ class OfflineBatcher {
  public:
   void HandleBatch() {
     WriterMutexLock lock(mu_);
-    (void)wal_.Sync();
+    (void)wal_.Flush();
   }
 
  private:

@@ -23,14 +23,20 @@ class BlockingApi {
     kg_mutex_.unlock();
   }
 
-  void HandleSync() {
-    // expect: 'HandleSync' calls the fsync-path primitive 'Sync'
-    (void)wal_.Sync();
+  void HandleFlush() {
+    // expect: 'HandleFlush' calls the fsync-path primitive 'Flush'
+    (void)wal_.Flush();
+  }
+
+  void HandleWaitDurable() {
+    // A group-commit wait blocks on another writer's fsync.
+    // expect: 'HandleWaitDurable' calls the fsync-path primitive 'WaitDurable'
+    (void)manager_.WaitDurable(1);
   }
 
   void HandleCheckpoint(std::string state) {
     // expect: 'HandleCheckpoint' calls the fsync-path primitive 'WriteCheckpoint'
-    (void)manager_.WriteCheckpoint(state);
+    (void)manager_.WriteCheckpoint(state, /*kg_version=*/0);
   }
 
  private:
