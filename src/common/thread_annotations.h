@@ -223,6 +223,58 @@ class SCOPED_CAPABILITY ReaderMutexLock {
   AnnotatedSharedMutex& mu_;
 };
 
+/// A capability with no runtime state: it names a role that a thread
+/// takes on by protocol instead of by locking, such as "owns the
+/// streaming miner's window", which KgPipeline hands to its miner stage
+/// thread for the length of an ingest batch. State declared GUARDED_BY
+/// a role can be touched only inside a RoleScope (exclusive) or a
+/// SharedRoleScope (read-only), so the analysis confines it to the code
+/// paths that claim the role; a comment at each scope says why the
+/// protocol gives that thread the role there.
+class CAPABILITY("role") ThreadRole {
+ public:
+  ThreadRole() = default;
+
+  ThreadRole(const ThreadRole&) = delete;
+  ThreadRole& operator=(const ThreadRole&) = delete;
+
+  void Acquire() ACQUIRE() {}
+  void Release() RELEASE() {}
+  void AcquireShared() ACQUIRE_SHARED() {}
+  void ReleaseShared() RELEASE_SHARED() {}
+};
+
+/// RAII exclusive claim of a ThreadRole.
+class SCOPED_CAPABILITY RoleScope {
+ public:
+  explicit RoleScope(ThreadRole& role) ACQUIRE(role) : role_(role) {
+    role_.Acquire();
+  }
+  ~RoleScope() RELEASE() { role_.Release(); }
+
+  RoleScope(const RoleScope&) = delete;
+  RoleScope& operator=(const RoleScope&) = delete;
+
+ private:
+  ThreadRole& role_;
+};
+
+/// RAII read-only claim of a ThreadRole.
+class SCOPED_CAPABILITY SharedRoleScope {
+ public:
+  explicit SharedRoleScope(ThreadRole& role) ACQUIRE_SHARED(role)
+      : role_(role) {
+    role_.AcquireShared();
+  }
+  ~SharedRoleScope() RELEASE() { role_.ReleaseShared(); }
+
+  SharedRoleScope(const SharedRoleScope&) = delete;
+  SharedRoleScope& operator=(const SharedRoleScope&) = delete;
+
+ private:
+  ThreadRole& role_;
+};
+
 }  // namespace nous
 
 #endif  // NOUS_COMMON_THREAD_ANNOTATIONS_H_

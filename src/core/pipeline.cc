@@ -125,6 +125,7 @@ KgPipeline::KgPipeline(const CuratedKb* kb, PipelineConfig config)
                              std::thread::hardware_concurrency());
   if (threads > 1) {
     pool_ = std::make_unique<ThreadPool>(threads);
+    if (config_.enable_mining) miner_stage_ = std::make_unique<ThreadPool>(1);
   }
   bpr_.set_pool(pool_.get());
   mapper_.LoadDefaultSeeds();
@@ -227,7 +228,11 @@ void KgPipeline::IngestBatch(const Article* articles, size_t count) {
   // Stage 1 fans out across the pool (pure per-document work); the
   // commit loop below fuses in arrival order under one write-lock
   // acquisition, so the KG is bit-identical to serial ingest for any
-  // thread count.
+  // thread count. Stage 6 (mining) consumes each document's accepted
+  // facts in the same order, on the miner stage while later documents
+  // commit; with one document there is nothing to overlap, so it runs
+  // inline and the ack path pays no cross-thread wake-up.
+  const bool overlap_mining = miner_stage_ != nullptr && count > 1;
   std::vector<ExtractedDoc> docs(count);
   if (pool_ != nullptr && count > 1) {
     pool_->ParallelFor(count, [this, articles, &docs](size_t i) {
@@ -240,9 +245,24 @@ void KgPipeline::IngestBatch(const Article* articles, size_t count) {
   }
   {
     WriterMutexLock lock(kg_mutex_);
+    WaitGroup mined;
     for (size_t i = 0; i < count; ++i) {
-      CommitDocument(articles[i], std::move(docs[i]));
+      WindowFacts facts = CommitDocument(articles[i], std::move(docs[i]));
       AdvanceAdhocCounterPast(articles[i].id);
+      if (facts.empty()) continue;
+      if (overlap_mining) {
+        miner_stage_->Submit(
+            [this, facts = std::move(facts)] { MineWindowFacts(facts); },
+            &mined);
+      } else {
+        MineWindowFacts(facts);
+      }
+    }
+    if (overlap_mining) {
+      // Join before anything reads the window: the version bump,
+      // PublishSnapshot, SaveState and miner() all see it at rest.
+      NOUS_SPAN("mining_join");
+      mined.Wait();
     }
     // One bump per batch (the WAL commit unit), so recovery replay
     // reproduces the exact version of the uncrashed run.
@@ -272,15 +292,16 @@ KgPipeline::ExtractedDoc KgPipeline::ExtractDocument(
   return doc;
 }
 
-void KgPipeline::CommitDocument(const Article& article,
-                                ExtractedDoc&& doc) {
+KgPipeline::WindowFacts KgPipeline::CommitDocument(const Article& article,
+                                                   ExtractedDoc&& doc) {
   NOUS_SPAN("pipeline_ingest");
   const PipelineMetrics& metrics = Metrics();
   WallTimer timer;
+  WindowFacts window_facts;
   ++stats_.documents;
   metrics.documents->Increment();
   stats_.extractions += doc.frames.size();
-  if (doc.frames.empty()) return;
+  if (doc.frames.empty()) return window_facts;
   const std::vector<SrlFrame>& frames = doc.frames;
   const TermBag& doc_bag = doc.doc_bag;
 
@@ -444,23 +465,17 @@ void KgPipeline::CommitDocument(const Article& article,
     ++stats_.accepted_triples;
     metrics.accepted->Increment();
 
-    // ---- 6. Stream the fact into the miner's sliding window. ----
+    // ---- 6. Queue the fact for the miner's sliding window. ----
     if (config_.enable_mining) {
-      TimedTriple wt;
-      wt.triple.subject = graph_.VertexLabel(s);
-      wt.triple.predicate = predicate_name;
-      wt.triple.object = graph_.VertexLabel(o);
-      wt.timestamp = ts;
-      wt.source = article.source;
-      wt.confidence = confidence;
-      VertexId ws = window_graph_.GetOrAddVertex(wt.triple.subject);
-      VertexId wo = window_graph_.GetOrAddVertex(wt.triple.object);
-      window_graph_.SetVertexType(
-          ws, window_graph_.types().Intern(VertexTypeName(s)));
-      window_graph_.SetVertexType(
-          wo, window_graph_.types().Intern(VertexTypeName(o)));
-      window_->Add(wt);
-      metrics.window_edges->Set(static_cast<double>(window_->size()));
+      WindowFact& fact = window_facts.emplace_back();
+      fact.edge.triple.subject = graph_.VertexLabel(s);
+      fact.edge.triple.predicate = predicate_name;
+      fact.edge.triple.object = graph_.VertexLabel(o);
+      fact.edge.timestamp = ts;
+      fact.edge.source = article.source;
+      fact.edge.confidence = confidence;
+      fact.subject_type = VertexTypeName(s);
+      fact.object_type = VertexTypeName(o);
     }
   }
 
@@ -471,6 +486,31 @@ void KgPipeline::CommitDocument(const Article& article,
     docs_since_refresh_ = 0;
     RefreshBpr(config_.bpr_refresh_epochs);
   }
+  return window_facts;
+}
+
+void KgPipeline::MineWindowFacts(const WindowFacts& facts) {
+  // IngestBatch runs this either on the miner stage, which owns the
+  // window until the batch joins it, or inline with no stage in flight.
+  RoleScope role(miner_role_);
+  for (const WindowFact& fact : facts) ApplyWindowFactLocked(fact);
+  Metrics().window_edges->Set(static_cast<double>(window_->size()));
+}
+
+void KgPipeline::ApplyWindowFactLocked(const WindowFact& fact) {
+  // An untyped endpoint stays untyped: SaveState writes it as "", so a
+  // reload replays the window exactly.
+  VertexId ws = window_graph_.GetOrAddVertex(fact.edge.triple.subject);
+  VertexId wo = window_graph_.GetOrAddVertex(fact.edge.triple.object);
+  if (!fact.subject_type.empty()) {
+    window_graph_.SetVertexType(ws,
+                                window_graph_.types().Intern(fact.subject_type));
+  }
+  if (!fact.object_type.empty()) {
+    window_graph_.SetVertexType(wo,
+                                window_graph_.types().Intern(fact.object_type));
+  }
+  window_->Add(fact.edge);
 }
 
 std::string KgPipeline::ReserveAdhocId() {
@@ -490,6 +530,8 @@ constexpr uint32_t kStateVersionWithStageSeconds = 2;
 
 std::string KgPipeline::SaveState() const {
   ReaderMutexLock lock(kg_mutex_);
+  // No batch is in flight under kg_mutex_, so the window is at rest.
+  SharedRoleScope role(miner_role_);
   BinaryWriter writer;
   writer.U32(kStateVersion);
   // Cheap compatibility fingerprint: a checkpoint only makes sense
@@ -633,7 +675,9 @@ Status KgPipeline::LoadStateLocked(std::string_view payload) {
   // fresh graph + window + miner, curated base re-seeded, then the
   // saved stream triples replayed below. The render cache is dropped
   // too — the new miner restarts its generation counter, so a stale
-  // set could alias a fresh generation.
+  // set could alias a fresh generation. LoadState holds the writer
+  // lock and runs no batch, so no stage is in flight.
+  RoleScope role(miner_role_);
   if (config_.enable_mining) {
     window_graph_ = PropertyGraph();
     miner_ = std::make_unique<StreamingMiner>(config_.miner);
@@ -641,34 +685,24 @@ Status KgPipeline::LoadStateLocked(std::string_view payload) {
                                                config_.miner_window_edges);
     window_->AddListener(miner_.get());
     BootstrapMinerWindowLocked();
-    rendered_patterns_.store(nullptr, std::memory_order_release);
+    MutexLock render_lock(render_mutex_);
+    rendered_patterns_ = nullptr;
   }
 
   uint64_t num_window = 0;
   NOUS_RETURN_IF_ERROR(reader.Count(&num_window, 8 * 5 + 8 + 8));
   for (uint64_t i = 0; i < num_window; ++i) {
-    TimedTriple wt;
-    std::string subject_type, object_type;
-    NOUS_RETURN_IF_ERROR(reader.Str(&wt.triple.subject));
-    NOUS_RETURN_IF_ERROR(reader.Str(&wt.triple.predicate));
-    NOUS_RETURN_IF_ERROR(reader.Str(&wt.triple.object));
-    NOUS_RETURN_IF_ERROR(reader.I64(&wt.timestamp));
-    NOUS_RETURN_IF_ERROR(reader.Str(&wt.source));
-    NOUS_RETURN_IF_ERROR(reader.F64(&wt.confidence));
-    NOUS_RETURN_IF_ERROR(reader.Str(&subject_type));
-    NOUS_RETURN_IF_ERROR(reader.Str(&object_type));
+    WindowFact fact;
+    NOUS_RETURN_IF_ERROR(reader.Str(&fact.edge.triple.subject));
+    NOUS_RETURN_IF_ERROR(reader.Str(&fact.edge.triple.predicate));
+    NOUS_RETURN_IF_ERROR(reader.Str(&fact.edge.triple.object));
+    NOUS_RETURN_IF_ERROR(reader.I64(&fact.edge.timestamp));
+    NOUS_RETURN_IF_ERROR(reader.Str(&fact.edge.source));
+    NOUS_RETURN_IF_ERROR(reader.F64(&fact.edge.confidence));
+    NOUS_RETURN_IF_ERROR(reader.Str(&fact.subject_type));
+    NOUS_RETURN_IF_ERROR(reader.Str(&fact.object_type));
     if (window_ == nullptr) continue;  // mining disabled in this config
-    VertexId ws = window_graph_.GetOrAddVertex(wt.triple.subject);
-    VertexId wo = window_graph_.GetOrAddVertex(wt.triple.object);
-    if (!subject_type.empty()) {
-      window_graph_.SetVertexType(
-          ws, window_graph_.types().Intern(subject_type));
-    }
-    if (!object_type.empty()) {
-      window_graph_.SetVertexType(
-          wo, window_graph_.types().Intern(object_type));
-    }
-    window_->Add(wt);
+    ApplyWindowFactLocked(fact);
   }
   if (!reader.AtEnd()) {
     return Status::DataLoss("pipeline state has trailing bytes");
@@ -746,18 +780,19 @@ void KgPipeline::PublishSnapshot() {
     // unshares only the chunks it touches (DESIGN.md §5.13).
     graph = graph_.Clone();
     stats = stats_;
+    // No batch is in flight under kg_mutex_, so the window is at rest.
+    SharedRoleScope role(miner_role_);
     if (miner_ != nullptr) {
       uint64_t generation = miner_->generation();
-      std::shared_ptr<const RenderedPatternSet> rendered =
-          rendered_patterns_.load(std::memory_order_acquire);
-      if (rendered == nullptr || rendered->miner_generation != generation) {
+      MutexLock render_lock(render_mutex_);
+      if (rendered_patterns_ == nullptr ||
+          rendered_patterns_->miner_generation != generation) {
         auto fresh = std::make_shared<RenderedPatternSet>();
         fresh->miner_generation = generation;
         fresh->patterns = RenderPatterns(*miner_, window_graph_);
-        rendered = std::move(fresh);
-        rendered_patterns_.store(rendered, std::memory_order_release);
+        rendered_patterns_ = std::move(fresh);
       }
-      pattern_set = std::move(rendered);
+      pattern_set = rendered_patterns_;
     }
   }
   // The constructor runs the footprint estimate off the lock (chunk

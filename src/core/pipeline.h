@@ -97,11 +97,14 @@ struct PipelineConfig {
 ///
 /// Threading model (DESIGN.md "Threading model"): the pure extraction
 /// stage fans out across a worker pool (IngestBatch); everything that
-/// mutates shared state — linking, mapping, scoring, KG/miner-window
-/// updates, BPR refresh — commits sequentially in arrival order under
+/// mutates the fused KG and its models — linking, mapping, scoring, KG
+/// update, BPR refresh — commits sequentially in arrival order under
 /// the exclusive side of kg_mutex(), so the fused graph is
-/// bit-identical to serial ingest. Snapshot publish and SaveState take
-/// the shared side; queries read only published snapshots.
+/// bit-identical to serial ingest. The accepted facts feed the miner
+/// window in the same order, on a dedicated miner stage thread that
+/// runs beside the commit loop and is joined before the writer lock is
+/// released (DESIGN.md §5.8). Snapshot publish and SaveState take the
+/// shared side; queries read only published snapshots.
 class KgPipeline {
  public:
   /// Copies the curated KB's contents into the KG. `kb` must outlive
@@ -113,11 +116,16 @@ class KgPipeline {
 
   /// The one ingest entry (a batch of one ingests one article):
   /// extraction runs across the pool (pure, per-document), then joint
-  /// linking, predicate mapping, confidence scoring, KG + miner-window
-  /// update and distant supervision commit sequentially in array order
-  /// under one write-lock acquisition. An "adhoc_N" article id raises
-  /// the ad-hoc id counter past N, so WAL replay and replicated
-  /// batches never let ReserveAdhocId hand out an id twice.
+  /// linking, predicate mapping, confidence scoring, KG update and
+  /// distant supervision commit sequentially in array order under one
+  /// write-lock acquisition. Each document's accepted facts enter the
+  /// miner window in the same order: on the miner stage thread while
+  /// the next documents commit, or inline when the pipeline has no
+  /// pool or the batch holds one document. The stage is joined before
+  /// the lock is released, so every reader sees the window at rest.
+  /// An "adhoc_N" article id raises the ad-hoc id counter past N, so
+  /// WAL replay and replicated batches never let ReserveAdhocId hand
+  /// out an id twice.
   void IngestBatch(const Article* articles, size_t count)
       EXCLUDES(kg_mutex_);
   void IngestBatch(const std::vector<Article>& articles)
@@ -176,13 +184,18 @@ class KgPipeline {
   const PropertyGraph& graph() const REQUIRES_SHARED(kg_mutex_) {
     return graph_;
   }
-  StreamingMiner* miner() REQUIRES(kg_mutex_) { return miner_.get(); }
+  /// Holding kg_mutex_ means no batch is in flight (IngestBatch joins
+  /// the miner stage before it releases the writer lock), so the miner
+  /// window is at rest.
   const StreamingMiner* miner() const REQUIRES_SHARED(kg_mutex_) {
+    SharedRoleScope role(miner_role_);
     return miner_.get();
   }
   /// The graph the miner watches; its dictionaries resolve pattern
-  /// ids (distinct from the fused KG's dictionaries).
+  /// ids (distinct from the fused KG's dictionaries). At rest for the
+  /// same reason as miner().
   const PropertyGraph* miner_graph() const REQUIRES_SHARED(kg_mutex_) {
+    SharedRoleScope role(miner_role_);
     return &window_graph_;
   }
   EntityLinker& linker() REQUIRES(kg_mutex_) { return linker_; }
@@ -236,11 +249,21 @@ class KgPipeline {
     TermBag doc_bag;
   };
 
-  void LoadCuratedKb() REQUIRES(kg_mutex_);
+  /// One accepted fact on its way into the miner window: the streamed
+  /// triple plus the fused-KG type names of its endpoints, read at
+  /// commit time so the miner stage never touches the fused KG.
+  struct WindowFact {
+    TimedTriple edge;
+    std::string subject_type;
+    std::string object_type;
+  };
+  using WindowFacts = std::vector<WindowFact>;
+
+  void LoadCuratedKb() REQUIRES(kg_mutex_, miner_role_);
   /// Seeds the miner window graph with the curated facts (direct
   /// insertion, never expired). Called from the curated bootstrap and
   /// again by LoadStateLocked after it resets the window machinery.
-  void BootstrapMinerWindowLocked() REQUIRES(kg_mutex_);
+  void BootstrapMinerWindowLocked() REQUIRES(kg_mutex_, miner_role_);
   /// Finalize body (BPR refresh + rescore + LDA), under the writer
   /// lock held by Finalize().
   void FinalizeLocked() REQUIRES(kg_mutex_);
@@ -249,10 +272,21 @@ class KgPipeline {
   /// Stage 1 (extraction + document bag): reads only immutable models
   /// (lexicon, NER, SRL), safe to run from pool threads with no lock.
   ExtractedDoc ExtractDocument(const Article& article) const;
-  /// Stages 2-7 (link -> map -> score -> KG/miner update -> periodic
-  /// BPR refresh); caller must hold kg_mutex_ exclusively.
-  void CommitDocument(const Article& article, ExtractedDoc&& doc)
-      REQUIRES(kg_mutex_);
+  /// Stages 2-5 and 7 (link -> map -> score -> KG update -> periodic
+  /// BPR refresh); caller must hold kg_mutex_ exclusively. Returns the
+  /// document's accepted facts for stage 6 (MineWindowFacts). It never
+  /// touches the miner window, which the stage may own meanwhile.
+  WindowFacts CommitDocument(const Article& article, ExtractedDoc&& doc)
+      REQUIRES(kg_mutex_) EXCLUDES(miner_role_);
+  /// Stage 6, the miner stage routine: streams one document's accepted
+  /// facts into the sliding window in order. IngestBatch runs it on
+  /// miner_stage_ or inline; either way no other thread touches the
+  /// window while it runs.
+  void MineWindowFacts(const WindowFacts& facts) EXCLUDES(miner_role_);
+  /// Applies one fact to the window graph (endpoint vertices and their
+  /// non-empty types, then TemporalWindow::Add, which drives the
+  /// miner). Shared by the stage and LoadStateLocked's window replay.
+  void ApplyWindowFactLocked(const WindowFact& fact) REQUIRES(miner_role_);
   /// Raises the ad-hoc id counter past N when `id` is "adhoc_N".
   void AdvanceAdhocCounterPast(std::string_view id);
   /// LoadState body, under the writer lock held by LoadState().
@@ -268,11 +302,25 @@ class KgPipeline {
   std::unique_ptr<ThreadPool> pool_;  // lint: unguarded(see above)
 
   PropertyGraph graph_ GUARDED_BY(kg_mutex_);  // the fused KG
+  /// Ownership of the miner window below. While a batch is in flight
+  /// only the thread running MineWindowFacts holds it; the commit
+  /// thread never does. Outside batches, holders of kg_mutex_ may claim
+  /// it, because IngestBatch joins the stage before releasing the
+  /// writer lock.
+  mutable ThreadRole miner_role_;
   /// Mirror graph holding the miner's sliding window (curated base +
   /// recent stream).
-  PropertyGraph window_graph_ GUARDED_BY(kg_mutex_);
-  std::unique_ptr<TemporalWindow> window_ GUARDED_BY(kg_mutex_);
-  std::unique_ptr<StreamingMiner> miner_ GUARDED_BY(kg_mutex_);
+  PropertyGraph window_graph_ GUARDED_BY(miner_role_);
+  std::unique_ptr<TemporalWindow> window_ GUARDED_BY(miner_role_);
+  std::unique_ptr<StreamingMiner> miner_ GUARDED_BY(miner_role_);
+  /// The miner stage: a one-worker pool owned by this pipeline, made
+  /// with pool_ (more than one thread) when mining is on. Its FIFO
+  /// queue keeps document order, Submit carries the trace context, and
+  /// the single long-lived thread keeps the miner's allocations in one
+  /// malloc arena (DESIGN.md §5.8). Internally synchronized; the
+  /// pointer never changes after construction, and the destructor joins
+  /// the thread.
+  std::unique_ptr<ThreadPool> miner_stage_;  // lint: unguarded(see above)
 
   /// Read-only extraction models: initialized in the constructor, then
   /// only read (including from pool threads during batch extraction).
@@ -297,14 +345,14 @@ class KgPipeline {
   uint64_t kg_version_ GUARDED_BY(kg_mutex_) = 0;
   /// Internally synchronized shared_ptr-swap store (see SnapshotStore).
   SnapshotStore snapshots_;
+  /// Publishers hold only the shared side of kg_mutex_, so the render
+  /// cache below has its own short lock (ordered after kg_mutex_).
+  AnnotatedMutex render_mutex_;
   /// Render cache for miner patterns, keyed by miner generation;
   /// PublishSnapshot reuses it (a shared_ptr bump) when the miner saw
-  /// no window events since the last render. Atomic because publishers
-  /// hold only the shared side of kg_mutex_: racing publishers may
-  /// overwrite each other, which at worst costs one redundant
-  /// re-render on a later publish, never a wrong pattern set (each
-  /// stored set is consistent with some published generation).
-  std::atomic<std::shared_ptr<const RenderedPatternSet>> rendered_patterns_;
+  /// no window events since the last render.
+  std::shared_ptr<const RenderedPatternSet> rendered_patterns_
+      GUARDED_BY(render_mutex_);
   /// Ids for ad-hoc text articles; atomic so concurrent HTTP
   /// ingest callers get distinct ids without taking the write lock
   /// early.

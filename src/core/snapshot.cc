@@ -23,19 +23,18 @@ const std::vector<RenderedPattern>& KgSnapshot::patterns() const {
 
 void SnapshotStore::Publish(std::shared_ptr<const KgSnapshot> snapshot) {
   if (snapshot == nullptr) return;
-  std::shared_ptr<const KgSnapshot> cur =
-      current_.load(std::memory_order_acquire);
-  // Install unless a racing publisher already holds an equal-or-newer
-  // view. compare_exchange reloads `cur` on failure, so each retry
-  // re-checks monotonicity against the latest winner.
-  while (cur == nullptr || snapshot->version() > cur->version()) {
-    if (current_.compare_exchange_weak(cur, snapshot,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_acquire)) {
-      publishes_.fetch_add(1, std::memory_order_relaxed);
+  {
+    MutexLock lock(mutex_);
+    // Install unless a racing publisher already holds an equal-or-newer
+    // view.
+    if (current_ != nullptr && snapshot->version() <= current_->version()) {
       return;
     }
+    current_.swap(snapshot);
   }
+  // `snapshot` now holds the replaced view; dropping it may free the
+  // chunks only it still shared, so that happens after the unlock.
+  publishes_.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace nous

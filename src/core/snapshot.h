@@ -88,23 +88,25 @@ class KgSnapshot {
   size_t approx_graph_bytes_ = 0;
 };
 
-/// Holds the latest published snapshot behind an atomic shared_ptr
-/// swap. Readers copy the pointer with a single atomic load — no
-/// mutex anywhere on the query hot path — and the snapshot itself is
-/// immutable, outliving the store entry for as long as any reader
-/// holds it.
+/// Holds the latest published snapshot. Readers copy the pointer
+/// under a mutex held only for that copy (one reference-count bump),
+/// and the snapshot itself is immutable, outliving the store entry for
+/// as long as any reader holds it. (std::atomic<std::shared_ptr> in
+/// libstdc++ 12 releases its internal lock with a relaxed store, which
+/// ThreadSanitizer reports as a race between Publish and Current.)
 class SnapshotStore {
  public:
   /// Installs `snapshot` if its version is newer than the current one.
-  /// Publication is monotonic (CAS loop): two publishers can race
-  /// (each cloned under a reader lock, so each snapshot is internally
-  /// consistent and correctly labeled), and the older label simply
-  /// loses.
+  /// Publication is monotonic: two publishers can race (each cloned
+  /// under a reader lock, so each snapshot is internally consistent
+  /// and correctly labeled), and the older label simply loses. The
+  /// replaced snapshot is released outside the lock.
   void Publish(std::shared_ptr<const KgSnapshot> snapshot);
 
   /// Latest published snapshot; null before the first Publish.
   std::shared_ptr<const KgSnapshot> Current() const {
-    return current_.load(std::memory_order_acquire);
+    MutexLock lock(mutex_);
+    return current_;
   }
 
   /// Version of the latest published snapshot (0 before the first).
@@ -121,8 +123,8 @@ class SnapshotStore {
   }
 
  private:
-  /// Internally synchronized; no GUARDED_BY needed.
-  std::atomic<std::shared_ptr<const KgSnapshot>> current_;
+  mutable AnnotatedMutex mutex_;
+  std::shared_ptr<const KgSnapshot> current_ GUARDED_BY(mutex_);
   std::atomic<uint64_t> publishes_{0};
 };
 

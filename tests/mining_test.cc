@@ -498,7 +498,9 @@ struct GoldenDigests {
 
 // Feeds a seeded drone corpus through Nous::IngestBatch in 32 batches
 // and digests the rendered (closed frequent) pattern list after each.
-GoldenDigests IngestAndDigest(const MinerConfig& miner) {
+// One thread mines inline in the commit loop; more than one runs the
+// miner stage beside it. The digests must not depend on which.
+GoldenDigests IngestAndDigest(const MinerConfig& miner, size_t num_threads) {
   DroneWorldConfig wc;
   wc.num_events = 1500;
   wc.seed = 1;
@@ -513,6 +515,7 @@ GoldenDigests IngestAndDigest(const MinerConfig& miner) {
   NousOptions options;
   options.pipeline.miner = miner;
   options.pipeline.miner_window_edges = 600;  // expiry churn mid-corpus
+  options.pipeline.num_threads = num_threads;
   Nous nous(&kb, options);
 
   constexpr size_t kBatches = 32;
@@ -536,10 +539,13 @@ GoldenDigests IngestAndDigest(const MinerConfig& miner) {
 }
 
 TEST(MinerGoldenTest, RenderedPatternListAfterEveryBatch) {
-  GoldenDigests d = IngestAndDigest(MinerConfig{});
-  EXPECT_GT(d.removed, 0u);
-  EXPECT_EQ(d.ingest, 0x1ed9e9f14250f2e9ULL) << std::hex << d.ingest;
-  EXPECT_EQ(d.finalized, 0xed20fd6440aa5f70ULL) << std::hex << d.finalized;
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    GoldenDigests d = IngestAndDigest(MinerConfig{}, threads);
+    EXPECT_GT(d.removed, 0u);
+    EXPECT_EQ(d.ingest, 0x1ed9e9f14250f2e9ULL) << std::hex << d.ingest;
+    EXPECT_EQ(d.finalized, 0xed20fd6440aa5f70ULL) << std::hex << d.finalized;
+  }
 }
 
 TEST(MinerGoldenTest, TypedThreeEdgePatternListAfterEveryBatch) {
@@ -550,10 +556,13 @@ TEST(MinerGoldenTest, TypedThreeEdgePatternListAfterEveryBatch) {
   // Curated hubs never expire; the cap keeps 3-edge growth around them
   // bounded (and pins the order in which a capped anchor stops).
   config.max_subsets_per_edge = 100;
-  GoldenDigests d = IngestAndDigest(config);
-  EXPECT_GT(d.removed, 0u);
-  EXPECT_EQ(d.ingest, 0xc5d9b2ff6a9e8882ULL) << std::hex << d.ingest;
-  EXPECT_EQ(d.finalized, 0x58185fa2baca024ULL) << std::hex << d.finalized;
+  for (size_t threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    GoldenDigests d = IngestAndDigest(config, threads);
+    EXPECT_GT(d.removed, 0u);
+    EXPECT_EQ(d.ingest, 0xc5d9b2ff6a9e8882ULL) << std::hex << d.ingest;
+    EXPECT_EQ(d.finalized, 0x58185fa2baca024ULL) << std::hex << d.finalized;
+  }
 }
 
 // A 40-edge graph around one hub with self-loops and parallel edges:

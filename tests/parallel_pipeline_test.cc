@@ -126,6 +126,28 @@ TEST_F(ParallelPipelineFixture, BatchIngestAtEightThreadsMatchesSerial) {
     EXPECT_EQ(std::get<5>(serial_edges[i]), std::get<5>(parallel_edges[i]));
   }
   ExpectStatsEqualModuloTiming(serial.stats(), parallel.stats());
+
+  // The miner stage ran beside the commit loop in the batched run and
+  // inline in the serial one: same window, same patterns.
+  const auto& serial_patterns = serial.snapshot()->patterns();
+  const auto& parallel_patterns = parallel.snapshot()->patterns();
+  EXPECT_FALSE(serial_patterns.empty());
+  ASSERT_EQ(serial_patterns.size(), parallel_patterns.size());
+  for (size_t i = 0; i < serial_patterns.size(); ++i) {
+    EXPECT_EQ(serial_patterns[i].description,
+              parallel_patterns[i].description);
+    EXPECT_EQ(serial_patterns[i].support, parallel_patterns[i].support);
+    EXPECT_EQ(serial_patterns[i].embeddings,
+              parallel_patterns[i].embeddings);
+  }
+  // Same bytes, too. The serial run bumped the KG version once per
+  // article, so the byte reference is the same single batch at one
+  // thread, where mining runs inline.
+  Nous inline_batch(&kb_, FastOptions(1));
+  inline_batch.pipeline().IngestBatch(articles);
+  inline_batch.Finalize();
+  EXPECT_TRUE(inline_batch.pipeline().SaveState() ==
+              parallel.pipeline().SaveState());
 }
 
 TEST_F(ParallelPipelineFixture, IngestStreamBatchingMatchesSerial) {

@@ -8,8 +8,10 @@
 //   2  reading a GUARDED_BY member without holding its mutex
 //   3  calling a REQUIRES (exclusive) method under only a reader lock
 //   4  re-acquiring a held mutex (self-deadlock with a queued writer)
+//   5  touching ThreadRole-guarded state (KgPipeline's miner window)
+//      from code that never claimed the role, as a commit path would
 //
-// Cases 1-4 are each expected to FAIL under -Werror=thread-safety.
+// Cases 1-5 are each expected to FAIL under -Werror=thread-safety.
 // Keep each case minimal: one bug per case, everything else locked
 // correctly, so the expected diagnostic is the only diagnostic.
 
@@ -40,9 +42,24 @@ class MiniPipeline {
     AddEdge();
   }
 
+  // The miner-stage shape: window state guarded by a role that only
+  // the stage routine (and readers at rest) claim.
+  void MineLocked() REQUIRES(stage_role_) { ++window_edges_; }
+  void Mine() {
+    RoleScope role(stage_role_);
+    MineLocked();
+  }
+  int window_edges() const {
+    SharedRoleScope role(stage_role_);
+    return window_edges_;
+  }
+  void CommitTouchingWindow();  // defined by case 5
+
  private:
   mutable AnnotatedSharedMutex mutex_;
   int edges_ GUARDED_BY(mutex_) = 0;
+  mutable ThreadRole stage_role_;
+  int window_edges_ GUARDED_BY(stage_role_) = 0;
 };
 
 #if NOUS_STATIC_CASE == 0
@@ -53,8 +70,9 @@ class MiniPipeline {
 int CorrectUse() {
   MiniPipeline p;
   p.Ingest();
+  p.Mine();
   ReaderMutexLock lock(p.mutex());
-  return p.edges() + p.EdgesUnlocked();
+  return p.edges() + p.EdgesUnlocked() + p.window_edges();
 }
 
 #elif NOUS_STATIC_CASE == 1
@@ -96,6 +114,13 @@ void DoubleAcquire() {
   MiniPipeline p;
   WriterMutexLock lock(p.mutex());
   p.Ingest();  // expected error: Ingest EXCLUDES a held mutex
+}
+
+#elif NOUS_STATIC_CASE == 5
+// BUG: the commit path reaching into the miner window while the stage
+// may own it.
+void MiniPipeline::CommitTouchingWindow() {
+  ++window_edges_;  // expected error: requires holding role stage_role_
 }
 
 #else

@@ -1,7 +1,9 @@
 // Request-scoped tracing: context propagation across ThreadPool
-// boundaries, the striped span ring buffer, the slow-trace log
-// trigger, and the resource sampler lifecycle.
+// boundaries and into the pipeline's miner stage, the striped span
+// ring buffer, the slow-trace log trigger, and the resource sampler
+// lifecycle.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -14,6 +16,10 @@
 
 #include "common/thread_pool.h"
 #include "common/trace_context.h"
+#include "core/pipeline.h"
+#include "corpus/article_generator.h"
+#include "corpus/world_model.h"
+#include "kb/kb_generator.h"
 #include "obs/metrics.h"
 #include "obs/resource_sampler.h"
 #include "obs/trace.h"
@@ -179,6 +185,53 @@ TEST(TracePropagationTest, PoolThreadContextDoesNotLeakAcrossTasks) {
   pool.Submit([&] { leaked.store(CurrentTraceContext().valid()); });
   pool.Wait();
   EXPECT_FALSE(leaked.load());
+}
+
+TEST(TracePropagationTest, MinerStageSpansParentUnderIngestBatch) {
+  DroneWorldConfig world_config;
+  world_config.num_events = 40;
+  world_config.seed = 3;
+  WorldModel world = WorldModel::BuildDroneWorld(world_config);
+  CuratedKb kb = BuildCuratedKb(world, Ontology::DroneDefault(), {});
+  std::vector<Article> articles =
+      ArticleGenerator(&world, CorpusConfig{}).GenerateArticles();
+  articles.resize(std::min<size_t>(articles.size(), 16));
+  PipelineConfig config;
+  config.num_threads = 4;  // a pool, hence a miner stage
+  KgPipeline pipeline(&kb, config);
+
+  TraceBuffer::Global().Clear();
+  uint64_t trace_id = 0;
+  {
+    TraceSpan root("trace_test_ingest_root", nullptr);
+    trace_id = root.trace_id();
+    pipeline.IngestBatch(articles);
+  }
+  std::vector<SpanRecord> trace = TraceBuffer::Global().CollectTrace(trace_id);
+  auto batch = std::find_if(trace.begin(), trace.end(), [](const SpanRecord& s) {
+    return std::string(s.name) == "ingest_batch";
+  });
+  ASSERT_NE(batch, trace.end());
+  size_t mining = 0, joins = 0;
+  std::set<uint32_t> mining_threads;
+  for (const SpanRecord& s : trace) {
+    const std::string name = s.name;
+    if (name == "mining" || name == "mining_expire") {
+      ++mining;
+      EXPECT_EQ(s.parent_span_id, batch->span_id) << name;
+      mining_threads.insert(s.thread_index);
+    } else if (name == "mining_join") {
+      ++joins;
+      EXPECT_EQ(s.parent_span_id, batch->span_id);
+      EXPECT_EQ(s.thread_index, batch->thread_index);
+    }
+  }
+  EXPECT_GT(mining, 0u);
+  EXPECT_EQ(joins, 1u);
+  // Every window edge was mined on the one stage thread, never on the
+  // committing thread.
+  EXPECT_EQ(mining_threads.size(), 1u);
+  EXPECT_EQ(mining_threads.count(batch->thread_index), 0u);
 }
 
 // ---------- TraceBuffer ----------
