@@ -83,7 +83,45 @@ const PipelineMetrics& Metrics() {
   return metrics;
 }
 
+/// Idle miner stage threads, kept for the life of the process
+/// (DESIGN.md §5.8). Last in, first out, so pipelines made one after
+/// another lease the same thread.
+struct IdleMinerStages {
+  AnnotatedMutex mutex;
+  std::vector<std::unique_ptr<ThreadPool>> stages GUARDED_BY(mutex);
+};
+
+IdleMinerStages& IdleStages() {
+  // Leaked, so a pipeline destroyed during static destruction can
+  // still return its stage.
+  // lint: new-ok(leaked function-local static; no destruction-order risk)
+  static IdleMinerStages* idle = new IdleMinerStages();
+  return *idle;
+}
+
+/// The most recently returned idle stage, or a new one-worker pool.
+std::unique_ptr<ThreadPool> TakeIdleMinerStage() {
+  IdleMinerStages& idle = IdleStages();
+  {
+    MutexLock lock(idle.mutex);
+    if (!idle.stages.empty()) {
+      std::unique_ptr<ThreadPool> stage = std::move(idle.stages.back());
+      idle.stages.pop_back();
+      return stage;
+    }
+  }
+  return std::make_unique<ThreadPool>(1);
+}
+
 }  // namespace
+
+void KgPipeline::ReturnMinerStage::operator()(ThreadPool* stage) const {
+  // Every batch joins the stage before it returns, so its queue is
+  // empty here.
+  IdleMinerStages& idle = IdleStages();
+  MutexLock lock(idle.mutex);
+  idle.stages.emplace_back(stage);
+}
 
 std::string PipelineStats::ToString() const {
   return StrFormat(
@@ -125,7 +163,9 @@ KgPipeline::KgPipeline(const CuratedKb* kb, PipelineConfig config)
                              std::thread::hardware_concurrency());
   if (threads > 1) {
     pool_ = std::make_unique<ThreadPool>(threads);
-    if (config_.enable_mining) miner_stage_ = std::make_unique<ThreadPool>(1);
+    if (config_.enable_mining) {
+      miner_stage_.reset(TakeIdleMinerStage().release());
+    }
   }
   bpr_.set_pool(pool_.get());
   mapper_.LoadDefaultSeeds();

@@ -259,6 +259,12 @@ class KgPipeline {
   };
   using WindowFacts = std::vector<WindowFact>;
 
+  /// Deleter of miner_stage_: puts the stage thread back on the idle
+  /// list for the next pipeline to lease.
+  struct ReturnMinerStage {
+    void operator()(ThreadPool* stage) const;
+  };
+
   void LoadCuratedKb() REQUIRES(kg_mutex_, miner_role_);
   /// Seeds the miner window graph with the curated facts (direct
   /// insertion, never expired). Called from the curated bootstrap and
@@ -313,14 +319,16 @@ class KgPipeline {
   PropertyGraph window_graph_ GUARDED_BY(miner_role_);
   std::unique_ptr<TemporalWindow> window_ GUARDED_BY(miner_role_);
   std::unique_ptr<StreamingMiner> miner_ GUARDED_BY(miner_role_);
-  /// The miner stage: a one-worker pool owned by this pipeline, made
-  /// with pool_ (more than one thread) when mining is on. Its FIFO
-  /// queue keeps document order, Submit carries the trace context, and
-  /// the single long-lived thread keeps the miner's allocations in one
+  /// The miner stage: a one-worker pool this pipeline leases with
+  /// pool_ (more than one thread) when mining is on, from a
+  /// process-wide list of idle stage threads; the destructor hands it
+  /// back instead of joining it. Its FIFO queue keeps document order and
+  /// Submit carries the trace context. Because a stage thread never
+  /// exits, the miners of successive pipelines allocate in the same
   /// malloc arena (DESIGN.md §5.8). Internally synchronized; the
-  /// pointer never changes after construction, and the destructor joins
-  /// the thread.
-  std::unique_ptr<ThreadPool> miner_stage_;  // lint: unguarded(see above)
+  /// pointer never changes after construction.
+  std::unique_ptr<ThreadPool, ReturnMinerStage>
+      miner_stage_;  // lint: unguarded(see above)
 
   /// Read-only extraction models: initialized in the constructor, then
   /// only read (including from pool threads during batch extraction).

@@ -187,39 +187,71 @@ TEST(TracePropagationTest, PoolThreadContextDoesNotLeakAcrossTasks) {
   EXPECT_FALSE(leaked.load());
 }
 
-TEST(TracePropagationTest, MinerStageSpansParentUnderIngestBatch) {
-  DroneWorldConfig world_config;
-  world_config.num_events = 40;
-  world_config.seed = 3;
-  WorldModel world = WorldModel::BuildDroneWorld(world_config);
-  CuratedKb kb = BuildCuratedKb(world, Ontology::DroneDefault(), {});
-  std::vector<Article> articles =
-      ArticleGenerator(&world, CorpusConfig{}).GenerateArticles();
-  articles.resize(std::min<size_t>(articles.size(), 16));
+/// A small drone corpus for the miner-stage cases.
+struct StageCorpus {
+  StageCorpus()
+      : world(WorldModel::BuildDroneWorld([] {
+          DroneWorldConfig world_config;
+          world_config.num_events = 40;
+          world_config.seed = 3;
+          return world_config;
+        }())),
+        kb(BuildCuratedKb(world, Ontology::DroneDefault(), {})),
+        articles(ArticleGenerator(&world, CorpusConfig{}).GenerateArticles()) {
+    articles.resize(std::min<size_t>(articles.size(), 16));
+  }
+  WorldModel world;
+  CuratedKb kb;
+  std::vector<Article> articles;
+};
+
+PipelineConfig PooledConfig() {
   PipelineConfig config;
   config.num_threads = 4;  // a pool, hence a miner stage
-  KgPipeline pipeline(&kb, config);
+  return config;
+}
 
+/// Ingests `articles` as one batch under a fresh trace root and
+/// returns that trace's spans.
+std::vector<SpanRecord> TraceOneBatch(KgPipeline* pipeline,
+                                      const std::vector<Article>& articles) {
   TraceBuffer::Global().Clear();
   uint64_t trace_id = 0;
   {
     TraceSpan root("trace_test_ingest_root", nullptr);
     trace_id = root.trace_id();
-    pipeline.IngestBatch(articles);
+    pipeline->IngestBatch(articles);
   }
-  std::vector<SpanRecord> trace = TraceBuffer::Global().CollectTrace(trace_id);
+  return TraceBuffer::Global().CollectTrace(trace_id);
+}
+
+/// Thread indices of the mining spans in `trace`.
+std::set<uint32_t> MiningThreads(const std::vector<SpanRecord>& trace) {
+  std::set<uint32_t> threads;
+  for (const SpanRecord& s : trace) {
+    const std::string name = s.name;
+    if (name == "mining" || name == "mining_expire") {
+      threads.insert(s.thread_index);
+    }
+  }
+  return threads;
+}
+
+TEST(TracePropagationTest, MinerStageSpansParentUnderIngestBatch) {
+  StageCorpus corpus;
+  KgPipeline pipeline(&corpus.kb, PooledConfig());
+
+  std::vector<SpanRecord> trace = TraceOneBatch(&pipeline, corpus.articles);
   auto batch = std::find_if(trace.begin(), trace.end(), [](const SpanRecord& s) {
     return std::string(s.name) == "ingest_batch";
   });
   ASSERT_NE(batch, trace.end());
   size_t mining = 0, joins = 0;
-  std::set<uint32_t> mining_threads;
   for (const SpanRecord& s : trace) {
     const std::string name = s.name;
     if (name == "mining" || name == "mining_expire") {
       ++mining;
       EXPECT_EQ(s.parent_span_id, batch->span_id) << name;
-      mining_threads.insert(s.thread_index);
     } else if (name == "mining_join") {
       ++joins;
       EXPECT_EQ(s.parent_span_id, batch->span_id);
@@ -230,8 +262,29 @@ TEST(TracePropagationTest, MinerStageSpansParentUnderIngestBatch) {
   EXPECT_EQ(joins, 1u);
   // Every window edge was mined on the one stage thread, never on the
   // committing thread.
+  const std::set<uint32_t> mining_threads = MiningThreads(trace);
   EXPECT_EQ(mining_threads.size(), 1u);
   EXPECT_EQ(mining_threads.count(batch->thread_index), 0u);
+}
+
+TEST(TracePropagationTest, MinerStageThreadOutlivesItsPipeline) {
+  // A pipeline hands its stage thread back instead of joining it, so
+  // the next pipeline mines on the same thread (and in the same malloc
+  // arena); pipelines alive at once each mine on their own thread.
+  StageCorpus corpus;
+  std::set<uint32_t> first;
+  {
+    KgPipeline pipeline(&corpus.kb, PooledConfig());
+    first = MiningThreads(TraceOneBatch(&pipeline, corpus.articles));
+  }
+  ASSERT_EQ(first.size(), 1u);
+  KgPipeline next(&corpus.kb, PooledConfig());
+  KgPipeline beside(&corpus.kb, PooledConfig());
+  EXPECT_EQ(MiningThreads(TraceOneBatch(&next, corpus.articles)), first);
+  const std::set<uint32_t> other =
+      MiningThreads(TraceOneBatch(&beside, corpus.articles));
+  ASSERT_EQ(other.size(), 1u);
+  EXPECT_NE(other, first);
 }
 
 // ---------- TraceBuffer ----------
