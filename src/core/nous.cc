@@ -199,9 +199,13 @@ void Nous::Finalize() {
   }
 }
 
-void Nous::SetCommitListener(CommitListener* listener) {
+Nous::CommitPosition Nous::SetCommitListener(CommitListener* listener) {
   MutexLock lock(ingest_mutex_);
   listener_ = listener;
+  CommitPosition position;
+  if (durability_ != nullptr) position.seq = durability_->last_logged_seq();
+  position.kg_version = LiveKgVersion();
+  return position;
 }
 
 Result<Nous::ReplicationImage> Nous::CaptureReplicationImage() {

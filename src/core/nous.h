@@ -136,13 +136,20 @@ class Nous {
   /// follower can reproduce it is from a full image.
   void Finalize() EXCLUDES(kg_mutex());
 
+  /// A point in the commit stream; SetCommitListener returns where the
+  /// stream stood when the listener was registered.
+  struct CommitPosition {
+    uint64_t seq = 0;         ///< last WAL-logged seq
+    uint64_t kg_version = 0;  ///< live KG version
+  };
   /// Registers the replication hook (nullptr to clear). The listener
   /// is invoked under the ingest mutex for every durable commit and
-  /// checkpoint from the moment this returns; it must outlive its
+  /// checkpoint after the returned position; it must outlive its
   /// registration. Setting it blocks until in-flight commits drain,
   /// so after SetCommitListener(nullptr) returns no further callbacks
   /// run.
-  void SetCommitListener(CommitListener* listener) EXCLUDES(kg_mutex());
+  CommitPosition SetCommitListener(CommitListener* listener)
+      EXCLUDES(kg_mutex());
 
   /// A consistent (seq, kg_version, full state image) triple captured
   /// under the ingest mutex — what the leader ships to a follower that
@@ -237,7 +244,7 @@ class Nous {
   const QueryCache* query_cache() const { return cache_.get(); }
 
   /// The options this instance was built with (immutable). The
-  /// replication leader reads durability.dir to tail the WAL.
+  /// replication leader reads durability.dir to find the WAL.
   const Options& options() const { return options_; }
 
   /// Registers a telemetry probe on `sampler` that exports the

@@ -205,162 +205,4 @@ Result<WalReadResult> WalReader::ReadAll(const std::string& path) {
   return result;
 }
 
-WalTailReader::~WalTailReader() { Close(); }
-
-void WalTailReader::Open(const std::string& path) {
-  Close();
-  path_ = path;
-}
-
-void WalTailReader::Close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  inode_ = 0;
-  offset_ = 0;
-}
-
-Result<WalTailReader::Event> WalTailReader::Next() {
-  Event event;
-  if (path_.empty()) {
-    return Status::FailedPrecondition("WalTailReader not opened");
-  }
-
-  // (1) Lazily (re)open and verify the file magic.
-  if (fd_ < 0) {
-    int fd = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) {
-      if (errno == ENOENT) return event;  // not created yet: end of log
-      return Status::Internal(Errno("open", path_));
-    }
-    char magic[sizeof(kWalFileMagic)];
-    ssize_t n = ::pread(fd, magic, sizeof(magic), 0);
-    if (n < 0) {
-      Status status = Status::Internal(Errno("pread", path_));
-      ::close(fd);
-      return status;
-    }
-    if (static_cast<size_t>(n) < sizeof(magic)) {
-      // Magic not fully written yet; try again later.
-      ::close(fd);
-      return event;
-    }
-    if (std::memcmp(magic, kWalFileMagic, sizeof(magic)) != 0) {
-      ::close(fd);
-      event.kind = EventKind::kReset;
-      return event;
-    }
-    struct stat st {};
-    if (::fstat(fd, &st) != 0) {
-      Status status = Status::Internal(Errno("fstat", path_));
-      ::close(fd);
-      return status;
-    }
-    fd_ = fd;
-    inode_ = static_cast<uint64_t>(st.st_ino);
-    offset_ = sizeof(kWalFileMagic);
-  }
-
-  // (2) Detect the writer swapping the file (checkpoint resets delete
-  // and recreate wal.log) or truncating under us.
-  struct stat by_name {};
-  if (::stat(path_.c_str(), &by_name) != 0 ||
-      static_cast<uint64_t>(by_name.st_ino) != inode_) {
-    ::close(fd_);
-    fd_ = -1;
-    inode_ = 0;
-    offset_ = 0;
-    event.kind = EventKind::kReset;
-    return event;
-  }
-  struct stat by_fd {};
-  if (::fstat(fd_, &by_fd) != 0) {
-    return Status::Internal(Errno("fstat", path_));
-  }
-  const uint64_t size = static_cast<uint64_t>(by_fd.st_size);
-  if (size < offset_) {
-    ::close(fd_);
-    fd_ = -1;
-    inode_ = 0;
-    offset_ = 0;
-    event.kind = EventKind::kReset;
-    return event;
-  }
-
-  // (3) Try to read one frame header at the current offset.
-  constexpr size_t kHeader = 4 + 8 + 4 + 4;  // magic + seq + len + crc
-  char header[kHeader];
-  ssize_t n = ::pread(fd_, header, kHeader, static_cast<off_t>(offset_));
-  if (n < 0) return Status::Internal(Errno("pread", path_));
-  if (static_cast<size_t>(n) < kHeader) return event;  // mid-append
-  uint32_t magic = 0;
-  uint64_t seq = 0;
-  uint32_t len = 0;
-  uint32_t crc = 0;
-  std::memcpy(&magic, header, 4);
-  std::memcpy(&seq, header + 4, 8);
-  std::memcpy(&len, header + 12, 4);
-  std::memcpy(&crc, header + 16, 4);
-  if (magic != kWalFrameMagic) {
-    // Garbage where a frame should start: the tail was torn or the
-    // file corrupted. Treat like a swap — reopen and let the caller
-    // decide how far to trust the log.
-    ::close(fd_);
-    fd_ = -1;
-    inode_ = 0;
-    offset_ = 0;
-    event.kind = EventKind::kReset;
-    return event;
-  }
-  if (offset_ + kHeader + len > size) {
-    // Declared payload extends past the current end: either the append
-    // is still in flight (poll again) or the length word is corrupt.
-    // A cap guards against waiting forever on a corrupt length.
-    if (len > (1u << 30)) {
-      ::close(fd_);
-      fd_ = -1;
-      inode_ = 0;
-      offset_ = 0;
-      event.kind = EventKind::kReset;
-      return event;
-    }
-    return event;
-  }
-
-  // (4) Read and verify the payload.
-  std::string payload(len, '\0');
-  size_t got = 0;
-  while (got < len) {
-    ssize_t r = ::pread(fd_, payload.data() + got, len - got,
-                        static_cast<off_t>(offset_ + kHeader + got));
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal(Errno("pread", path_));
-    }
-    if (r == 0) return event;  // shrank mid-read; re-check next call
-    got += static_cast<size_t>(r);
-  }
-  if (FrameCrc(seq, len, payload) != crc) {
-    if (size > offset_ + kHeader + len) {
-      // Bytes exist past this frame, so it is not a trailing torn
-      // write still in flight — the log is corrupt here.
-      ::close(fd_);
-      fd_ = -1;
-      inode_ = 0;
-      offset_ = 0;
-      event.kind = EventKind::kReset;
-      return event;
-    }
-    return event;  // trailing partial write; poll again
-  }
-
-  // (5) Intact frame.
-  event.kind = EventKind::kRecord;
-  event.record.seq = seq;
-  event.record.payload = std::move(payload);
-  offset_ += kHeader + len;
-  return event;
-}
-
 }  // namespace nous

@@ -93,54 +93,6 @@ class WalReader {
   static Result<WalReadResult> ReadAll(const std::string& path);
 };
 
-/// Incremental WAL follower: reads frames as the writer appends them,
-/// treating clean end-of-log as "poll again later" rather than done.
-/// This is the leader-side source for WAL shipping — it never holds
-/// any lock the writer needs, it just re-reads the growing file.
-///
-/// The reader survives WAL *resets* (checkpointing deletes and
-/// recreates wal.log): each Next() compares the path's current inode
-/// against the open fd and reports kReset when the file was swapped
-/// or truncated under it, so the caller can decide whether to re-read
-/// from the top or resync from a checkpoint image.
-class WalTailReader {
- public:
-  enum class EventKind {
-    kRecord,    ///< `record` holds the next intact frame
-    kEndOfLog,  ///< no complete frame past the current offset — poll later
-    kReset,     ///< the file vanished, shrank, or was replaced — reopened
-                ///< from the top on the next call
-  };
-
-  struct Event {
-    EventKind kind = EventKind::kEndOfLog;
-    WalRecord record;
-  };
-
-  WalTailReader() = default;
-  ~WalTailReader();
-  WalTailReader(const WalTailReader&) = delete;
-  WalTailReader& operator=(const WalTailReader&) = delete;
-
-  /// Points the reader at a WAL path. The file need not exist yet.
-  void Open(const std::string& path);
-
-  /// Advances by at most one frame. Only I/O errors fail; torn tails
-  /// and swapped files are Events, not errors.
-  Result<Event> Next();
-
-  void Close();
-
-  /// Byte offset of the next unread frame in the current file.
-  uint64_t offset() const { return offset_; }
-
- private:
-  std::string path_;
-  int fd_ = -1;
-  uint64_t inode_ = 0;
-  uint64_t offset_ = 0;
-};
-
 /// 8-byte magic at offset 0 of every WAL file.
 extern const char kWalFileMagic[8];
 /// Per-frame magic word.

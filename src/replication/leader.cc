@@ -1,13 +1,12 @@
 #include "replication/leader.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <utility>
 
 #include "common/fault_injection.h"
 #include "common/logging.h"
-#include "durability/wal.h"
+#include "obs/metrics.h"
 
 namespace nous {
 
@@ -31,7 +30,11 @@ Status ReplicationLeader::Start() {
   }
   NOUS_RETURN_IF_ERROR(listener_.Listen(options_.port));
   running_.store(true, std::memory_order_release);
-  nous_->SetCommitListener(this);
+  const Position seed = nous_->SetCommitListener(this);
+  {
+    MutexLock lock(sessions_mutex_);
+    if (!broadcast_since_start_) position_ = seed;
+  }
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   started_ = true;
   NOUS_LOG(Info) << "replication leader listening on 127.0.0.1:"
@@ -48,6 +51,7 @@ void ReplicationLeader::Stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   listener_.Close();
   MutexLock lock(sessions_mutex_);
+  broadcast_since_start_ = false;
   for (auto& session : sessions_) {
     {
       MutexLock session_lock(session->mutex);
@@ -73,6 +77,7 @@ void ReplicationLeader::OnCommit(uint64_t seq, const std::string& payload,
   QueueItem item;
   item.type = frame.type;
   item.seq = seq;
+  item.kg_version = kg_version;
   item.wire = std::make_shared<const std::string>(EncodeReplFrame(frame));
   Broadcast(std::move(item));
 }
@@ -87,12 +92,15 @@ void ReplicationLeader::OnCheckpoint(uint64_t seq, const std::string& state,
   QueueItem item;
   item.type = frame.type;
   item.seq = seq;
+  item.kg_version = kg_version;
   item.wire = std::make_shared<const std::string>(EncodeReplFrame(frame));
   Broadcast(std::move(item));
 }
 
 void ReplicationLeader::Broadcast(QueueItem item) {
   MutexLock lock(sessions_mutex_);
+  position_ = {item.seq, item.kg_version};
+  broadcast_since_start_ = true;
   for (auto& session : sessions_) {
     if (session->done.load(std::memory_order_acquire)) continue;
     bool overflowed = false;
@@ -101,7 +109,7 @@ void ReplicationLeader::Broadcast(QueueItem item) {
       if (session->stop || session->overflowed) continue;
       if (session->queue.size() >= options_.queue_capacity) {
         // Slow follower: shed it rather than stall or grow without
-        // bound. It reconnects and catches up from the WAL.
+        // bound. It reconnects and catches up under a new join.
         session->queue.clear();
         session->overflowed = true;
         overflowed = true;
@@ -134,6 +142,7 @@ void ReplicationLeader::AcceptLoop() {
     }
     auto session = std::make_unique<Session>();
     session->conn = std::move(*conn);
+    session->join = position_;
     Session* raw = session.get();
     session->thread = std::thread([this, raw] { ServeFollower(raw); });
     sessions_.push_back(std::move(session));
@@ -223,205 +232,128 @@ void ReplicationLeader::ServeFollower(Session* session) {
     return;
   }
   followers_.fetch_add(1, std::memory_order_relaxed);
+  Stream(session, hello);
+  followers_.fetch_sub(1, std::memory_order_relaxed);
+  session->conn.Shutdown();
+  session->done.store(true, std::memory_order_release);
+}
 
-  // The follower resumes after everything it already applied. A
-  // follower *ahead* of us means we lost unsynced WAL tail in a crash
-  // — its state is unreachable from ours, so re-image it. So is a
-  // follower at our seq but a different kg_version: our state moved
-  // without a WAL record (a recovery-time Finalize re-trained it).
-  uint64_t sent = hello.seq;
+void ReplicationLeader::Stream(Session* session, const ReplFrame& hello) {
+  // Catch-up brings the follower to the join position from the WAL,
+  // which holds every record up to it unless a checkpoint reset them
+  // away. A full image replaces the WAL when the follower asks for
+  // one, is past the join seq (it outlived a leader that lost unsynced
+  // WAL tail in a crash), is at the join seq on another KG version (it
+  // missed a version-only transition: a Finalize), or when the log no
+  // longer reaches the join seq.
+  const Position join = session->join;
   const uint64_t hello_kgv = DecodeHelloKgVersion(hello.payload);
-  bool need_image = (hello.aux & kHelloForceImage) != 0 ||
-                    sent > nous_->last_durable_seq() ||
-                    (hello_kgv != 0 && sent == nous_->last_durable_seq() &&
-                     hello_kgv != nous_->durable_kg_version());
-
-  WalTailReader tail;
-  tail.Open(wal_path_);
-  // Consecutive non-progress events (WAL resets, unbridgeable queue
-  // gaps). A couple are normal around a checkpoint; a streak means
-  // the WAL can no longer bridge this follower — fall back to a full
-  // image instead of spinning.
-  int stalled_rounds = 0;
-  // Seq of the last checkpoint image/frame this session shipped. A WAL
-  // reset is only safe to read past when the follower already holds
-  // the state the new log builds on (see the kReset branch).
-  uint64_t last_ckpt_sent = 0;
-
-  while (running_.load(std::memory_order_acquire)) {
-    {
-      MutexLock lock(session->mutex);
-      if (session->stop || session->overflowed) break;
+  Position sent{hello.seq, hello_kgv};
+  std::vector<WalRecord> bridge;
+  const char* image_cause = nullptr;
+  if ((hello.aux & kHelloForceImage) != 0) {
+    image_cause = "requested";
+  } else if (hello.seq > join.seq) {
+    image_cause = "ahead";
+  } else if (hello.seq == join.seq) {
+    if (hello_kgv != 0 && hello_kgv != join.kg_version) {
+      image_cause = "version";
     }
-    if (stalled_rounds > 3) {
-      need_image = true;
-      stalled_rounds = 0;
-    }
+  } else if (!ReadBridge(hello.seq, join.seq, &bridge)) {
+    image_cause = "unbridged";
+  }
+  if (image_cause != nullptr) {
+    if (!SendImage(session, image_cause, &sent).ok()) return;
+  }
+  for (WalRecord& rec : bridge) {
+    ReplFrame frame;
+    frame.type = ReplFrameType::kWalBatch;
+    frame.seq = rec.seq;
+    // The join-seq record carries the join version, so the follower's
+    // DataLoss cross-check catches a base it diverged on (a missed
+    // Finalize) before any live frame builds on it. Earlier records'
+    // versions are not in the log: 0 = "do not cross-check".
+    frame.aux = rec.seq == join.seq ? join.kg_version : 0;
+    frame.payload = std::move(rec.payload);
+    if (!SendDataFrame(session, EncodeReplFrame(frame)).ok()) return;
+  }
+  if (!bridge.empty()) sent = join;
 
-    if (need_image) {
-      Result<Nous::ReplicationImage> image =
-          nous_->CaptureReplicationImage();
-      if (!image.ok()) break;
-      ReplFrame frame;
-      frame.type = ReplFrameType::kCheckpoint;
-      frame.seq = image->seq;
-      frame.aux = image->kg_version;
-      frame.payload = std::move(image->state);
-      if (!SendDataFrame(session, EncodeReplFrame(frame)).ok()) break;
-      checkpoints_sent_.fetch_add(1, std::memory_order_relaxed);
-      sent = frame.seq;
-      last_ckpt_sent = frame.seq;
-      need_image = false;
-      stalled_rounds = 0;
-      MutexLock lock(session->mutex);
-      while (!session->queue.empty() &&
-             session->queue.front().seq <= sent) {
-        session->queue.pop_front();
-      }
-      continue;
-    }
-
-    // Phase 1: catch up from the WAL file.
-    Result<WalTailReader::Event> event = tail.Next();
-    if (!event.ok()) break;
-    if (event->kind == WalTailReader::EventKind::kRecord) {
-      WalRecord& rec = event->record;
-      if (rec.seq <= sent) continue;  // already shipped
-      if (rec.seq > sent + 1) {
-        // The records bridging the gap were checkpointed away.
-        need_image = true;
-        continue;
-      }
-      ReplFrame frame;
-      frame.type = ReplFrameType::kWalBatch;
-      frame.seq = rec.seq;
-      // Historical frame: the KG version it produced is unknowable
-      // from the log alone; 0 = "do not cross-check". Divergence is
-      // still caught by the next live frame or checkpoint.
-      frame.aux = 0;
-      frame.payload = std::move(rec.payload);
-      if (!SendDataFrame(session, EncodeReplFrame(frame)).ok()) break;
-      sent = rec.seq;
-      stalled_rounds = 0;
-      continue;
-    }
-    if (event->kind == WalTailReader::EventKind::kReset) {
-      // The WAL was reset by a checkpoint; every record in the new log
-      // was applied ON TOP of that checkpoint's state. Reading past
-      // the reset is only sound once the follower holds that state —
-      // a Finalize checkpoint mutates the KG with no WAL record, so
-      // skipping it diverges the follower silently. The checkpoint
-      // rides in the live queue (commit order), so deliver it now,
-      // before any new-log records.
-      QueueItem queued_ckpt;
-      bool have_ckpt = false;
-      {
-        MutexLock lock(session->mutex);
-        for (auto it = session->queue.begin(); it != session->queue.end();
-             ++it) {
-          if (it->type == ReplFrameType::kCheckpoint && it->seq >= sent) {
-            queued_ckpt = std::move(*it);
-            session->queue.erase(it);
-            have_ckpt = true;
-            break;
-          }
-        }
-      }
-      if (have_ckpt) {
-        if (!SendDataFrame(session, *queued_ckpt.wire).ok()) break;
-        checkpoints_sent_.fetch_add(1, std::memory_order_relaxed);
-        sent = std::max(sent, queued_ckpt.seq);
-        last_ckpt_sent = queued_ckpt.seq;
-        stalled_rounds = 0;
-      } else if (last_ckpt_sent >= sent) {
-        // Already shipped a state image at/past `sent`: the new log's
-        // base state is on the follower. Safe to read on.
-      } else {
-        // The bridging checkpoint is gone (overflow, or the follower
-        // connected after it was broadcast). A streak forces an image.
-        ++stalled_rounds;
-      }
-      continue;
-    }
-
-    // Phase 2: end of log — serve the live queue, or heartbeat.
-    // Snapshot the durable seq *before* inspecting the queue: a commit
-    // published after this point wakes the cv wait below, so "queue
-    // still empty afterwards" proves records ≤ durable_now are neither
-    // in the WAL nor coming through the queue (checkpointed away).
-    const uint64_t durable_now = nous_->last_durable_seq();
-    const bool behind = sent < durable_now;
-    QueueItem item;
-    bool have_item = false;
-    bool recheck_tail = false;
+  // Live: the queue holds every broadcast after the join position, in
+  // commit order. A frame at or behind what this session already
+  // shipped is stale — a batch at `sent`, or a checkpoint at `sent`
+  // on the KG version the follower already holds (a periodic
+  // checkpoint of state it has). A Finalize bumps the version, so its
+  // checkpoint still ships.
+  for (;;) {
+    std::deque<QueueItem> burst;
     {
       UniqueLock lock(session->mutex);
-      while (!session->queue.empty()) {
-        const QueueItem& front = session->queue.front();
-        const bool stale =
-            front.type == ReplFrameType::kWalBatch
-                ? front.seq <= sent
-                // A checkpoint at seq == sent is NOT stale: Finalize
-                // re-checkpoints the same seq with a new KG.
-                : front.seq < sent;
-        if (!stale) break;
-        session->queue.pop_front();
+      if (session->queue.empty() && !session->stop && !session->overflowed) {
+        session->cv.wait_for(lock.std_lock(),
+                             std::chrono::milliseconds(options_.heartbeat_ms));
       }
-      if (!session->queue.empty()) {
-        QueueItem& front = session->queue.front();
-        if (front.type == ReplFrameType::kCheckpoint ||
-            front.seq == sent + 1) {
-          item = std::move(front);
-          session->queue.pop_front();
-          have_item = true;
-        } else {
-          // front.seq > sent + 1: the bridge records are in the WAL
-          // (or gone — the tail reports kReset / a gap and we image).
-          recheck_tail = true;
-        }
-      } else if (!session->stop && !session->overflowed) {
-        // When behind, wait only a sliver: we are very likely looking
-        // at a WAL hole (records checkpointed away), and the sliver
-        // just lets an in-flight enqueue land before we conclude that.
-        session->cv.wait_for(
-            lock.std_lock(),
-            std::chrono::milliseconds(behind ? 10 : options_.heartbeat_ms));
-      }
-      if (session->stop || session->overflowed) break;
+      if (session->stop || session->overflowed) return;
+      burst.swap(session->queue);
     }
-    if (have_item) {
-      if (!SendDataFrame(session, *item.wire).ok()) break;
+    for (const QueueItem& item : burst) {
+      const bool stale =
+          item.seq < sent.seq ||
+          (item.seq == sent.seq && (item.type == ReplFrameType::kWalBatch ||
+                                    item.kg_version == sent.kg_version));
+      if (stale) continue;
+      if (!SendDataFrame(session, *item.wire).ok()) return;
       if (item.type == ReplFrameType::kCheckpoint) {
         checkpoints_sent_.fetch_add(1, std::memory_order_relaxed);
-        last_ckpt_sent = std::max(last_ckpt_sent, item.seq);
       }
-      sent = std::max(sent, item.seq);
-      stalled_rounds = 0;
-      continue;
+      sent = {item.seq, item.kg_version};
     }
-    if (recheck_tail) {
-      ++stalled_rounds;
-      continue;
+    // A heartbeat follows each drained burst and each idle interval,
+    // never a frame still queued: it tells the follower where we are,
+    // so it can measure lag and detect a silently broken link.
+    {
+      MutexLock lock(session->mutex);
+      if (!session->queue.empty()) continue;
     }
-    if (behind) {
-      // End of log, empty queue, follower still behind the durable
-      // seq we saw before waiting: the bridging records are gone from
-      // the WAL (a checkpoint reset it). The streak forces an image.
-      ++stalled_rounds;
-      continue;
-    }
-    // Idle: tell the follower where we are so it can measure lag and
-    // detect a silently broken link.
     ReplFrame heartbeat;
     heartbeat.type = ReplFrameType::kHeartbeat;
     heartbeat.seq = nous_->last_durable_seq();
     heartbeat.aux = nous_->durable_kg_version();
-    if (!session->conn.SendAll(EncodeReplFrame(heartbeat)).ok()) break;
+    if (!session->conn.SendAll(EncodeReplFrame(heartbeat)).ok()) return;
   }
+}
 
-  followers_.fetch_sub(1, std::memory_order_relaxed);
-  session->conn.Shutdown();
-  session->done.store(true, std::memory_order_release);
+Status ReplicationLeader::SendImage(Session* session, const char* cause,
+                                    Position* sent) {
+  NOUS_ASSIGN_OR_RETURN(Nous::ReplicationImage image,
+                        nous_->CaptureReplicationImage());
+  ReplFrame frame;
+  frame.type = ReplFrameType::kCheckpoint;
+  frame.seq = image.seq;
+  frame.aux = image.kg_version;
+  frame.payload = std::move(image.state);
+  NOUS_RETURN_IF_ERROR(SendDataFrame(session, EncodeReplFrame(frame)));
+  checkpoints_sent_.fetch_add(1, std::memory_order_relaxed);
+  MetricsRegistry::Global()
+      .GetCounter("nous_replication_images_total",
+                  "Full checkpoint images sent to followers at handshake, "
+                  "by cause",
+                  {{"cause", cause}})
+      ->Increment();
+  *sent = {image.seq, image.kg_version};
+  return Status::Ok();
+}
+
+bool ReplicationLeader::ReadBridge(uint64_t from, uint64_t to,
+                                   std::vector<WalRecord>* bridge) const {
+  Result<WalReadResult> log = WalReader::ReadAll(wal_path_);
+  if (!log.ok()) return false;
+  for (WalRecord& rec : log->records) {
+    if (rec.seq == from + 1 + bridge->size() && rec.seq <= to) {
+      bridge->push_back(std::move(rec));
+    }
+  }
+  return bridge->size() == to - from;
 }
 
 ReplicationView ReplicationLeader::View() const {

@@ -13,6 +13,7 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "core/nous.h"
+#include "durability/wal.h"
 #include "replication/protocol.h"
 #include "replication/socket.h"
 #include "replication/telemetry.h"
@@ -21,23 +22,24 @@ namespace nous {
 
 /// WAL-shipping leader (DESIGN.md §5.15): accepts follower
 /// connections on a loopback port and streams every durable commit to
-/// each of them — historical frames read back from the WAL file
-/// (catch-up), live frames taken from a per-follower queue fed by the
-/// Nous commit hook, full checkpoint images when a follower is too
-/// far behind for the WAL to bridge.
+/// each of them. A session ships from one join position — the (seq,
+/// KG version) of the last broadcast before the session was added:
+/// the WAL records up to it (catch-up, read once), then the session's
+/// queue, which holds every broadcast after it in commit order. A full
+/// checkpoint image replaces the WAL part when the follower asked for
+/// one, is ahead of the join position, is at the join seq on another
+/// KG version, or the WAL no longer reaches the join seq.
 ///
 /// Robustness contract:
 ///  - Ingest never blocks on a follower. OnCommit/OnCheckpoint only
 ///    enqueue pre-encoded frames into bounded per-session queues; a
 ///    queue that fills (slow or wedged follower) is cleared and the
 ///    session disconnected (overflow_disconnects in the telemetry) —
-///    the follower reconnects and catches up from the WAL.
-///  - A follower whose Hello seq the leader cannot bridge from its
-///    WAL (records checkpointed away, or the follower is *ahead* of a
-///    leader that lost unsynced WAL tail in a crash) gets a full
-///    image, captured consistently from memory.
+///    the follower reconnects and catches up under a new join
+///    position.
 ///  - Session threads never touch Nous ingest paths; they read the
-///    WAL file and lock-free atomics only.
+///    WAL file, their queue and lock-free atomics only (plus the
+///    ingest mutex, briefly, to capture an image).
 class ReplicationLeader : public CommitListener, public ReplicationTelemetry {
  public:
   struct Options {
@@ -81,12 +83,20 @@ class ReplicationLeader : public CommitListener, public ReplicationTelemetry {
   struct QueueItem {
     ReplFrameType type = ReplFrameType::kWalBatch;
     uint64_t seq = 0;
+    uint64_t kg_version = 0;
     std::shared_ptr<const std::string> wire;
   };
+
+  /// (seq, KG version) of a point in the commit stream.
+  using Position = Nous::CommitPosition;
 
   struct Session {
     TcpConn conn;
     std::thread thread;
+    /// The leader's position when AcceptLoop added this session; every
+    /// later broadcast lands in `queue`. Written before the thread
+    /// starts, read-only afterwards.
+    Position join;
     AnnotatedMutex mutex;
     std::condition_variable cv;
     std::deque<QueueItem> queue GUARDED_BY(mutex);
@@ -98,6 +108,16 @@ class ReplicationLeader : public CommitListener, public ReplicationTelemetry {
 
   void AcceptLoop();
   void ServeFollower(Session* session);
+  /// Ships the catch-up (WAL records up to the join position, or an
+  /// image), then the queue, until the link or the session ends.
+  void Stream(Session* session, const ReplFrame& hello);
+  /// Captures and sends a full image, counting it under `cause`;
+  /// `*sent` becomes the image's position.
+  Status SendImage(Session* session, const char* cause, Position* sent);
+  /// The WAL records (from, to], in order, into `*bridge`; false when
+  /// the log no longer holds all of them.
+  bool ReadBridge(uint64_t from, uint64_t to,
+                  std::vector<WalRecord>* bridge) const;
   /// Handshake: stream magic then the Hello frame, under a deadline.
   Status ReadHello(Session* session, ReplFrame* hello);
   /// Sends one data frame (kWalBatch/kCheckpoint), applying the
@@ -105,8 +125,8 @@ class ReplicationLeader : public CommitListener, public ReplicationTelemetry {
   /// frame reports success — that is the point: the leader believes
   /// it sent it, and the follower must detect the gap.
   Status SendDataFrame(Session* session, const std::string& wire);
-  /// Enqueues a pre-encoded frame on every live session, disconnecting
-  /// sessions whose queue is full.
+  /// Moves the join position to `item` and enqueues it on every live
+  /// session, disconnecting sessions whose queue is full.
   void Broadcast(QueueItem item);
   void ReapFinishedSessions() REQUIRES(sessions_mutex_);
 
@@ -121,6 +141,12 @@ class ReplicationLeader : public CommitListener, public ReplicationTelemetry {
   AnnotatedMutex sessions_mutex_;
   std::vector<std::unique_ptr<Session>> sessions_
       GUARDED_BY(sessions_mutex_);
+  /// The last Broadcast's position, seeded by Start from
+  /// SetCommitListener; a new session joins here.
+  Position position_ GUARDED_BY(sessions_mutex_);
+  /// Whether a Broadcast set `position_` since Start registered the
+  /// hook — it is then newer than the seed.
+  bool broadcast_since_start_ GUARDED_BY(sessions_mutex_) = false;
 
   std::atomic<uint64_t> followers_{0};
   std::atomic<uint64_t> frames_sent_{0};

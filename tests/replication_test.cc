@@ -25,8 +25,8 @@
 #include "corpus/article_generator.h"
 #include "corpus/world_model.h"
 #include "durability/fs_util.h"
-#include "durability/wal.h"
 #include "kb/kb_generator.h"
+#include "obs/metrics.h"
 #include "replication/follower.h"
 #include "replication/leader.h"
 #include "replication/protocol.h"
@@ -39,6 +39,14 @@ class FaultGuard {
   FaultGuard() { FaultInjector::Global().Reset(); }
   ~FaultGuard() { FaultInjector::Global().Reset(); }
 };
+
+/// Full images the leader has sent at handshake for `cause`
+/// (process-wide; tests compare deltas).
+uint64_t ImagesSent(const std::string& cause) {
+  return MetricsRegistry::Global()
+      .GetCounter("nous_replication_images_total", "", {{"cause", cause}})
+      ->Value();
+}
 
 std::string FreshDir(const std::string& name) {
   std::string dir = ::testing::TempDir() + "nous_replication_" + name;
@@ -201,124 +209,6 @@ TEST(ReplProtocolTest, HelloPayloadRoundTripsKgVersion) {
 }
 
 // ---------------------------------------------------------------------------
-// WAL tail reader
-
-TEST(WalTailReaderTest, FollowsAppendsPastCleanEndOfLog) {
-  std::string dir = FreshDir("tail_appends");
-  std::string path = dir + "/wal.log";
-  WalWriter writer;
-  ASSERT_TRUE(writer.Open(path).ok());
-  ASSERT_TRUE(writer.Append(1, "one").ok());
-  ASSERT_TRUE(writer.Append(2, "two").ok());
-
-  WalTailReader tail;
-  tail.Open(path);
-  auto event = tail.Next();
-  ASSERT_TRUE(event.ok());
-  ASSERT_EQ(event->kind, WalTailReader::EventKind::kRecord);
-  EXPECT_EQ(event->record.seq, 1u);
-  EXPECT_EQ(event->record.payload, "one");
-  event = tail.Next();
-  ASSERT_TRUE(event.ok());
-  ASSERT_EQ(event->kind, WalTailReader::EventKind::kRecord);
-  EXPECT_EQ(event->record.seq, 2u);
-
-  // Clean end of log: not an error, just "nothing yet".
-  event = tail.Next();
-  ASSERT_TRUE(event.ok());
-  EXPECT_EQ(event->kind, WalTailReader::EventKind::kEndOfLog);
-
-  // A record appended after EOF must be picked up by re-polling.
-  ASSERT_TRUE(writer.Append(3, "three").ok());
-  event = tail.Next();
-  ASSERT_TRUE(event.ok());
-  ASSERT_EQ(event->kind, WalTailReader::EventKind::kRecord);
-  EXPECT_EQ(event->record.seq, 3u);
-  EXPECT_EQ(event->record.payload, "three");
-  ASSERT_TRUE(writer.Close().ok());
-}
-
-TEST(WalTailReaderTest, MissingFileIsEndOfLogUntilItAppears) {
-  std::string dir = FreshDir("tail_missing");
-  std::string path = dir + "/wal.log";
-  WalTailReader tail;
-  tail.Open(path);
-  auto event = tail.Next();
-  ASSERT_TRUE(event.ok());
-  EXPECT_EQ(event->kind, WalTailReader::EventKind::kEndOfLog);
-
-  WalWriter writer;
-  ASSERT_TRUE(writer.Open(path).ok());
-  ASSERT_TRUE(writer.Append(1, "late").ok());
-  event = tail.Next();
-  ASSERT_TRUE(event.ok());
-  ASSERT_EQ(event->kind, WalTailReader::EventKind::kRecord);
-  EXPECT_EQ(event->record.payload, "late");
-  ASSERT_TRUE(writer.Close().ok());
-}
-
-TEST(WalTailReaderTest, FileSwapReportsResetThenReadsTheNewLog) {
-  std::string dir = FreshDir("tail_swap");
-  std::string path = dir + "/wal.log";
-  {
-    WalWriter writer;
-    ASSERT_TRUE(writer.Open(path).ok());
-    ASSERT_TRUE(writer.Append(1, "old").ok());
-    ASSERT_TRUE(writer.Close().ok());
-  }
-  WalTailReader tail;
-  tail.Open(path);
-  ASSERT_EQ(tail.Next()->kind, WalTailReader::EventKind::kRecord);
-  ASSERT_EQ(tail.Next()->kind, WalTailReader::EventKind::kEndOfLog);
-
-  // A checkpoint resets the WAL: new file, new inode, seqs restart.
-  ASSERT_TRUE(RemoveFile(path).ok());
-  {
-    WalWriter writer;
-    ASSERT_TRUE(writer.Open(path).ok());
-    ASSERT_TRUE(writer.Append(5, "new").ok());
-    ASSERT_TRUE(writer.Close().ok());
-  }
-  auto event = tail.Next();
-  ASSERT_TRUE(event.ok());
-  EXPECT_EQ(event->kind, WalTailReader::EventKind::kReset);
-  event = tail.Next();
-  ASSERT_TRUE(event.ok());
-  ASSERT_EQ(event->kind, WalTailReader::EventKind::kRecord);
-  EXPECT_EQ(event->record.seq, 5u);
-  EXPECT_EQ(event->record.payload, "new");
-}
-
-TEST(WalTailReaderTest, TornTrailingFrameIsEndOfLogNotAnError) {
-  std::string dir = FreshDir("tail_torn");
-  std::string path = dir + "/wal.log";
-  {
-    WalWriter writer;
-    ASSERT_TRUE(writer.Open(path).ok());
-    ASSERT_TRUE(writer.Append(1, "whole").ok());
-    ASSERT_TRUE(writer.Append(2, "will be torn").ok());
-    ASSERT_TRUE(writer.Close().ok());
-  }
-  auto contents = ReadFileToString(path);
-  ASSERT_TRUE(contents.ok());
-  // Chop mid-way through the second frame: an in-flight append the
-  // writer has not finished yet, from the tail reader's perspective.
-  std::string torn = contents->substr(0, contents->size() - 5);
-  ASSERT_TRUE(RemoveFile(path).ok());
-  ASSERT_TRUE(AtomicWriteFile(path, torn).ok());
-
-  WalTailReader tail;
-  tail.Open(path);
-  auto event = tail.Next();
-  ASSERT_TRUE(event.ok());
-  ASSERT_EQ(event->kind, WalTailReader::EventKind::kRecord);
-  EXPECT_EQ(event->record.seq, 1u);
-  event = tail.Next();
-  ASSERT_TRUE(event.ok());
-  EXPECT_EQ(event->kind, WalTailReader::EventKind::kEndOfLog);
-}
-
-// ---------------------------------------------------------------------------
 // Leader/follower end-to-end
 
 class ReplicationFixture : public ::testing::Test {
@@ -476,6 +366,7 @@ TEST_F(ReplicationFixture, CheckpointedAwayHistoryForcesAnImageResync) {
   leader_nous->Finalize();
   ReplicationLeader leader(leader_nous.get(), {});
   ASSERT_TRUE(leader.Start().ok());
+  const uint64_t unbridged_before = ImagesSent("unbridged");
 
   auto follower_nous = MakeDurableNous(FreshDir("image_follower"));
   ReplicationFollower follower(follower_nous.get(),
@@ -484,6 +375,8 @@ TEST_F(ReplicationFixture, CheckpointedAwayHistoryForcesAnImageResync) {
   ASSERT_TRUE(WaitConverged(*leader_nous, *follower_nous));
   EXPECT_EQ(GraphBytes(*leader_nous), GraphBytes(*follower_nous));
   EXPECT_GE(follower.View().checkpoints_applied, 1u);
+  // The WAL no longer reaches the join seq: the image's cause.
+  EXPECT_GE(ImagesSent("unbridged") - unbridged_before, 1u);
 }
 
 TEST_F(ReplicationFixture, FinalizePropagatesToFollowers) {
@@ -514,6 +407,67 @@ TEST_F(ReplicationFixture, FinalizePropagatesToFollowers) {
   ASSERT_TRUE(WaitConverged(*leader_nous, *follower_nous));
   EXPECT_EQ(GraphBytes(*leader_nous), GraphBytes(*follower_nous));
   EXPECT_GE(follower.View().checkpoints_applied, 2u);
+}
+
+TEST_F(ReplicationFixture, PeriodicCheckpointsAreNotReshippedToLiveFollowers) {
+  FaultGuard faults;
+  Nous::Options leader_options = DurableOptions(FreshDir("periodic_leader"));
+  leader_options.durability.checkpoint_interval_batches = 2;
+  Nous leader_nous(&kb_, leader_options);
+  ASSERT_TRUE(leader_nous.Recover().ok());
+  auto follower_nous = MakeDurableNous(FreshDir("periodic_follower"));
+  ReplicationLeader leader(&leader_nous, {});
+  ASSERT_TRUE(leader.Start().ok());
+  ReplicationFollower follower(follower_nous.get(),
+                               FollowOptions(leader.port()));
+  ASSERT_TRUE(follower.Start().ok());
+  ASSERT_TRUE(WaitFor([&] {
+    return follower.View().connected && leader.View().followers == 1;
+  }));
+
+  // Every second batch checkpoints the leader. Each checkpoint holds
+  // the state the follower just reached through the batch before it,
+  // so none of them is worth a full image.
+  for (const auto& batch : MakeBatches(6, 2)) {
+    ASSERT_TRUE(leader_nous.IngestBatch(batch).ok());
+  }
+  ASSERT_TRUE(WaitConverged(leader_nous, *follower_nous));
+  EXPECT_EQ(GraphBytes(leader_nous), GraphBytes(*follower_nous));
+  EXPECT_EQ(follower.View().checkpoints_applied, 0u);
+}
+
+TEST_F(ReplicationFixture, FollowerThatMissedAFinalizeIsImagedAtReconnect) {
+  FaultGuard faults;
+  auto leader_nous = MakeDurableNous(FreshDir("missed_fin_leader"));
+  auto follower_nous = MakeDurableNous(FreshDir("missed_fin_follower"));
+  ReplicationLeader leader(leader_nous.get(), {});
+  ASSERT_TRUE(leader.Start().ok());
+  auto batches = MakeBatches(3);
+  {
+    ReplicationFollower follower(follower_nous.get(),
+                                 FollowOptions(leader.port()));
+    ASSERT_TRUE(follower.Start().ok());
+    for (size_t i = 0; i < 2; ++i) {
+      ASSERT_TRUE(leader_nous->IngestBatch(batches[i]).ok());
+    }
+    ASSERT_TRUE(WaitConverged(*leader_nous, *follower_nous));
+  }  // the follower disconnects at seq 2
+
+  // While it is away, Finalize changes the leader's KG with no WAL
+  // record, and the next batch builds on the finalized state.
+  leader_nous->Finalize();
+  ASSERT_TRUE(leader_nous->IngestBatch(batches[2]).ok());
+
+  // Back at seq 2, the follower would apply batch 3 on the wrong base.
+  // With the heartbeat streak out of reach, only the version carried
+  // by the join-seq record can send it to a full image.
+  ReplicationFollower::Options options = FollowOptions(leader.port());
+  options.heartbeat_stall_limit = 1000;
+  ReplicationFollower follower(follower_nous.get(), options);
+  ASSERT_TRUE(follower.Start().ok());
+  ASSERT_TRUE(WaitConverged(*leader_nous, *follower_nous));
+  EXPECT_EQ(GraphBytes(*leader_nous), GraphBytes(*follower_nous));
+  EXPECT_GE(follower.View().checkpoints_applied, 1u);
 }
 
 TEST_F(ReplicationFixture, DroppedFramesAreDetectedAndResynced) {
@@ -662,6 +616,7 @@ TEST_F(ReplicationFixture, LeaderCrashRecoveryReconvergesFollowers) {
   leader_nous->Finalize();
   ReplicationLeader leader(leader_nous.get(), {});
   ASSERT_TRUE(leader.Start().ok());
+  const uint64_t version_before = ImagesSent("version");
 
   // New follower session against the reborn leader, same follower KG.
   follower = std::make_unique<ReplicationFollower>(
@@ -672,6 +627,7 @@ TEST_F(ReplicationFixture, LeaderCrashRecoveryReconvergesFollowers) {
   ASSERT_TRUE(WaitConverged(*leader_nous, *follower_nous));
   EXPECT_EQ(GraphBytes(*leader_nous), GraphBytes(*follower_nous));
   EXPECT_GE(follower->View().checkpoints_applied, 1u);
+  EXPECT_GE(ImagesSent("version") - version_before, 1u);
 
   // And the recovered leader keeps streaming live commits.
   for (size_t i = 3; i < 6; ++i) {
